@@ -1,22 +1,28 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet test race bench bench-smoke bench-json cover \
+.PHONY: check build vet test race bench-test bench bench-smoke cover \
 	fuzz-smoke accuracy accuracy-sync accuracy-parallel accuracy-stream
 
-# check is the tier-1 gate: build, vet, the full test suite, and the test
+# check is the tier-1 gate: build, vet, the full test suite, the test
 # suite again under the race detector (the supervisor's parallel validation
 # runs cloned machines on separate goroutines, so every PR must stay
-# race-clean).
-check: build vet test race
+# race-clean), and the benchmark module's own tests.
+check: build vet test race bench-test
 
 build:
 	$(GO) build ./...
 
 # vet also covers the benchmark: bench/ is a module of its own, so
 # `./...` never builds it, yet it calls replay, core and fleet directly.
+# It then fails if gofmt would reformat any tracked Go file; listing the
+# tracked files keeps the module caches under .bench_build/ out of it.
 vet:
 	$(GO) vet ./...
 	$(GO) -C bench vet .
+	@files="$$(git ls-files '*.go')" && test -n "$$files" && \
+	unformatted="$$($(GOFMT) -l $$files)" && \
+	if [ -n "$$unformatted" ]; then echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -24,37 +30,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench-test runs the benchmark module's tests: a smoke run of every
+# workload against a freshly built firstaid-serve, and
+# TestDrainLoopMirrorsSupervisor, which fails when bench/layers.go's copy
+# of the supervisor's drain loop drifts from core, replay or fleet.
+bench-test:
+	$(GO) -C bench test .
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-smoke is the CI step: every benchmark (including the telemetry and
-# trace overhead guards) runs once, repo-wide, so a perf regression or a
-# bit-rotted benchmark fails the build without paying for full -benchtime.
+# bench-smoke is the CI step: every benchmark runs once, repo-wide, so a
+# perf regression or a bit-rotted benchmark fails the build without paying
+# for full -benchtime. Every *Guard benchmark (overhead budgets, speedup
+# floors, flat-clone bounds) checks its own bound and reports its metrics
+# here. The performance record across changes is the end-to-end benchmark
+# BENCHMARK.json declares (bench/, run with bash bench/run.sh).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
-
-# bench-json records the perf trajectory across PRs: the MMU/allocator
-# benchmarks and the standby-clone warm cost (with allocation stats) plus
-# every perf guard run once, and the combined output is distilled into
-# BENCH_7.json (name → ns/op, B/op, allocs/op, guard metrics — including
-# the speculative-vs-serial recovery speedup from
-# BenchmarkSpeculativeRecoveryGuard), which CI uploads as an artifact next
-# to the committed earlier floors (BENCH_5.json, BENCH_6.json). Guards run
-# at -benchtime 1x because they do their own fixed-size interleaved
-# timing; the plain benchmarks get a real sampling budget. BENCH_8.json
-# records the batched serving path separately: the fleet-ingest throughput
-# guard (ev/s, allocs/ev), so the 1M events/s floor's trajectory is
-# trackable across PRs without re-running the whole suite.
-bench-json:
-	{ $(GO) test -bench '^(BenchmarkSnapshot|BenchmarkRestore|BenchmarkClone|BenchmarkCloneCOW|BenchmarkWrite64|BenchmarkSnapshotRestore|BenchmarkMallocFreeThroughProc)$$' \
-		-benchmem -benchtime 0.2s -run '^$$' ./internal/vmem ./internal/proc ; \
-	  $(GO) test -bench '^BenchmarkStandbyCloneWarm$$' \
-		-benchmem -benchtime 0.2s -run '^$$' ./internal/core ; \
-	  $(GO) test -bench 'Guard$$' -benchtime 1x -run '^$$' \
-		./internal/vmem ./internal/proc ./internal/core ./internal/checkpoint ./internal/chaos ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_7.json
-	$(GO) test -bench '^BenchmarkFleetIngestThroughput$$' -benchtime 1x -run '^$$' . \
-	| $(GO) run ./cmd/benchjson -o BENCH_8.json
 
 # cover is the coverage ratchet: the whole internal tree runs with a
 # coverage profile, the HTML render is kept as a CI artifact, and the
@@ -70,16 +63,18 @@ cover:
 		-floor firstaid/internal/stages=94 \
 		-floor firstaid/internal/replay=85
 
-# fuzz-smoke gives the chaos mutator a bounded budget in CI on top of the
-# committed seed corpus (which plain `go test` already replays). The corpus
+# fuzz-smoke gives the fuzzers a bounded budget in CI on top of their
+# seed corpora (which plain `go test` already replays). The chaos corpus
 # spans both wire versions: the PR-4 v1 single-bug seeds plus v2 seeds for
 # the multi-bug combos, churn, actors and protected-region scenarios, so
 # the mutator starts from every scenario axis. The minimization budget is
 # capped separately: shrinking an interesting chaos program re-runs a whole
 # supervised machine per attempt, and an uncapped minimizer can eat the
-# entire fuzz window.
+# entire fuzz window. The batch-frame decoder is cheap per input, so ten
+# seconds covers a great many frames.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzChaosProgram -fuzztime=30s -fuzzminimizetime=5s ./internal/chaos
+	$(GO) test -fuzz=FuzzBatchDecode -fuzztime=10s -run '^$$' ./internal/fleet
 
 # accuracy is the diagnosis-accuracy gate: the exhaustive matrix (scenario
 # kind × bug class(es) × protected/unprotected, over the full seed set)

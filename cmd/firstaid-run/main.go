@@ -1,6 +1,7 @@
 // Command firstaid-run executes one of the paper's evaluation applications
 // under First-Aid supervision, triggers its bug, and prints recovery
-// statistics and (optionally) the full bug report.
+// statistics — each recovery's rollbacks, wall times and the path of
+// phases it ran — and (optionally) the full bug report.
 //
 // Usage:
 //
@@ -22,10 +23,10 @@
 //	firstaid-run -chaos-seed 0xF34 -chaos-scenario churn -chaos-guard
 //
 // With -postmortem <dir>, both modes write one postmortem bundle
-// (diagnosis-<id>.tar.gz: diagnosis JSON, report artifacts, trace slice,
-// span journal, metrics snapshot, and — for chaos runs — a REPRO.txt with
-// the exact firstaid-run command) per recovery at exit. A bundle's
-// REPRO.txt replays the identical diagnosis offline:
+// (diagnosis-<id>.tar.gz: diagnosis JSON with its timed path, report
+// artifacts, trace slice, metrics snapshot, and — for chaos runs — a
+// REPRO.txt with the exact firstaid-run command) per recovery at exit. A
+// bundle's REPRO.txt replays the identical diagnosis offline:
 //
 //	firstaid-run -chaos-seed 0x2a -chaos-class overflow -postmortem /tmp/pm
 //	tar -xzf /tmp/pm/diagnosis-1.tar.gz REPRO.txt && sh REPRO.txt
@@ -37,10 +38,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"firstaid"
 	"firstaid/internal/apps"
 	"firstaid/internal/chaos"
+	"firstaid/internal/ledger"
 )
 
 func main() {
@@ -55,7 +58,7 @@ func main() {
 		system     = flag.String("system", "first-aid", "recovery discipline: first-aid, rx, restart")
 		parallel   = flag.Bool("parallel-validation", false, "validate patches on a cloned machine in parallel")
 		speculate  = flag.Bool("speculate", true, "race diagnosis hypotheses on COW clones with a pre-warmed standby (identical verdicts, shorter recoveries); -speculate=false re-executes serially")
-		metrics    = flag.Bool("metrics", false, "collect telemetry and dump the JSON snapshot (counters, histograms, per-recovery spans) at exit")
+		metrics    = flag.Bool("metrics", false, "collect telemetry and dump the JSON snapshot (counters, gauges, histograms) at exit")
 		tracePath  = flag.String("trace", "", "record an execution trace and write it to this file at exit (inspect with firstaid-trace)")
 		traceCap   = flag.Int("trace-cap", 0, "execution-trace ring capacity in records (0 = default 64Ki)")
 		guardRate  = flag.Int("guard-rate", 0, "guard-page sampling: redirect ~1/N of allocations onto guard pages so stray accesses trap at the faulting instruction (0 = off; 4096 is the always-on default)")
@@ -202,6 +205,9 @@ func main() {
 		}
 		fmt.Printf("  rollbacks: %d, recovery: %.3fs, validation: %.3fs (consistent: %v)\n",
 			rec.Result.Rollbacks, rec.RecoveryWall.Seconds(), rec.ValidationWall.Seconds(), rec.Validated)
+		if d := rec.Ledger.Snapshot(); d != nil {
+			fmt.Printf("  path: %s\n", formatPath(d.Path))
+		}
 	}
 	for _, p := range sup.Pool.Active() {
 		fmt.Printf("  %v\n", p)
@@ -249,6 +255,20 @@ func main() {
 		fmt.Printf("\ntelemetry snapshot:\n%s\n", out)
 	}
 	dumpTrace()
+}
+
+// formatPath renders a recovery's path on one line: each phase with its
+// count, outcome and wall time, in the order the phases ran.
+func formatPath(path []ledger.Step) string {
+	steps := make([]string, len(path))
+	for i, st := range path {
+		steps[i] = fmt.Sprintf("%s n=%d", st.Name, st.N)
+		if st.Outcome != "" {
+			steps[i] += " " + st.Outcome
+		}
+		steps[i] += fmt.Sprintf(" (%.1fms)", float64(st.WallNS)/float64(time.Millisecond))
+	}
+	return strings.Join(steps, " -> ")
 }
 
 // runChaos reproduces one chaos-harness run from its seed and exits

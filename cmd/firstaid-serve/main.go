@@ -70,7 +70,6 @@ func main() {
 		speculate  = flag.Bool("speculate", true, "per worker: race diagnosis hypotheses on COW clones with a pre-warmed standby (identical verdicts, shorter recoveries); -speculate=false re-executes serially")
 		traceCap   = flag.Int("trace-cap", 0, "execution-trace ring capacity in records (0 = default 64Ki)")
 		ledgerCap  = flag.Int("ledger-cap", 0, "diagnosis-ledger ring capacity in entries (0 = default 256)")
-		journal    = flag.Int("journal-spans", 0, "recovery spans retained per worker journal (0 = default 512)")
 		guardRate  = flag.Int("guard-rate", 0, "guard-page sampling per worker: redirect ~1/N of allocations onto guard pages so stray accesses trap at the faulting instruction (0 = off; 4096 is the always-on default)")
 		guardForce = flag.String("guard-force", "", "comma-separated call-site substrings to guard-sample on every allocation across the fleet")
 		compactLog = flag.Bool("compact-log", false, "bound each worker's rolling replay log: discard the prefix older than its oldest retained checkpoint (live memory stays flat; whole-run offline replay is given up)")
@@ -108,7 +107,6 @@ func main() {
 		QueueDepth:     *queue,
 		Supervisor:     core.Config{ParallelValidation: *parallel, Speculate: *speculate, CompactLog: *compactLog, Machine: mcfg},
 		TraceCapacity:  *traceCap,
-		JournalSpans:   *journal,
 		LedgerCapacity: *ledgerCap,
 	}
 	switch *dispatch {
@@ -141,7 +139,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: fleet.NewServer(f)}
+	srv := newServer(f)
 	// Catch SIGINT/SIGTERM before serving: once /healthz can answer ready,
 	// a SIGTERM must drain and report, not kill the process.
 	var sig chan os.Signal
@@ -191,6 +189,29 @@ func main() {
 		os.Exit(1)
 	}
 	shutdown(srv, f, *poolPath)
+}
+
+// Connection timeouts: a client slower than these to send a request
+// header or a whole request, or idle on a keep-alive connection, is
+// disconnected. There is no write timeout, which would cut the SSE streams
+// (/trace/stream, /diagnoses/stream); the read timeout does not, as
+// net/http clears the read deadline once a request is read. Variables only
+// so tests can shorten them.
+var (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps the fleet's HTTP front-end in a server with the
+// connection timeouts set.
+func newServer(f *fleet.Fleet) *http.Server {
+	return &http.Server{
+		Handler:           fleet.NewServer(f),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // shutdown stops accepting traffic, drains the fleet, prints its final

@@ -94,8 +94,9 @@ type (
 )
 
 // Telemetry types. A Registry wired into MachineConfig.Metrics collects
-// counters, gauges and histograms from every layer of the runtime plus one
-// journal span per recovery episode; Snapshot() renders it all as JSON.
+// counters, gauges and histograms from every layer of the runtime;
+// Snapshot() renders them as JSON. Each recovery's timed path of phases is
+// on its diagnosis (Recovery.Ledger), not in the registry.
 type (
 	// Metrics is the telemetry registry (see internal/telemetry).
 	Metrics = telemetry.Registry

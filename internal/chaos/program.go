@@ -42,14 +42,14 @@ type OpKind uint8
 
 // Benign operations.
 const (
-	OpMalloc  OpKind = iota // allocate Size bytes into Slot (auto-frees a live occupant)
-	OpFree                  // free the object in Slot (keeps the stale address)
-	OpRealloc               // resize the object in Slot to Size bytes
-	OpWrite                 // fill the whole object with Pat
-	OpRead                  // read the whole object
-	OpCheck                 // read the defined prefix and assert every byte == Pat
-	OpProtect               // mark the object in Slot as a sensitive region (may relocate it)
-	OpUnprotect             // clear the sensitive-region mark
+	OpMalloc    OpKind = iota // allocate Size bytes into Slot (auto-frees a live occupant)
+	OpFree                    // free the object in Slot (keeps the stale address)
+	OpRealloc                 // resize the object in Slot to Size bytes
+	OpWrite                   // fill the whole object with Pat
+	OpRead                    // read the whole object
+	OpCheck                   // read the defined prefix and assert every byte == Pat
+	OpProtect                 // mark the object in Slot as a sensitive region (may relocate it)
+	OpUnprotect               // clear the sensitive-region mark
 
 	numBenignKinds = iota
 )

@@ -11,15 +11,14 @@ import (
 	"firstaid/internal/proc"
 	"firstaid/internal/report"
 	"firstaid/internal/stages"
-	"firstaid/internal/telemetry"
 	"firstaid/internal/trace"
 	"firstaid/internal/validate"
 )
 
 // recoveryEpisode carries one recovery's supervisor-side state across the
 // stages of the recovery plan: the wall-clock origin, the replay window,
-// the telemetry/ledger handles opened by the monitor stage, and the
-// Recovery record built by triage for the later stages to complete.
+// the trace/ledger handles opened by the monitor stage, and the Recovery
+// record built by triage for the later stages to complete.
 type recoveryEpisode struct {
 	s *Supervisor
 	f *proc.Fault
@@ -28,7 +27,6 @@ type recoveryEpisode struct {
 	failCursor int
 	until      int
 
-	span  *telemetry.Span
 	trc   trace.Emitter
 	entry *ledger.Entry
 
@@ -63,7 +61,6 @@ func (ep *recoveryEpisode) newSession(c *stages.Ctx) *diagnosis.Session {
 	s, f := ep.s, ep.f
 	dcfg := s.cfg.Diagnosis
 	dcfg.Metrics = s.M.Tel
-	dcfg.Span = ep.span
 	dcfg.Trace = ep.trc
 	dcfg.DetectedEarly = f.Early
 	if f.GuardBug != mmbug.None {
@@ -80,10 +77,9 @@ func (ep *recoveryEpisode) newSession(c *stages.Ctx) *diagnosis.Session {
 	return diagnosis.New(s.M, dcfg).Session(c.Until)
 }
 
-// monitorStage opens the recovery episode: the telemetry span, the ledger
-// lifecycle entry with the fault and guard-evidence conditions, and the
-// trace phase. It leaves the entry/span/trace handles on the context for
-// the downstream stages.
+// monitorStage opens the recovery episode: the ledger lifecycle entry with
+// the fault and guard-evidence conditions, and the trace phase. It leaves
+// the entry/trace handles on the context for the downstream stages.
 type monitorStage struct{ ep *recoveryEpisode }
 
 func (st *monitorStage) Name() string { return "monitor" }
@@ -92,17 +88,13 @@ func (st *monitorStage) Run(c *stages.Ctx) stages.Status {
 	ep := st.ep
 	s, f := ep.s, ep.f
 
-	// One telemetry span per pipeline episode: the diagnosis engine adds
-	// the phase-1/phase-2 phases, the later stages the patch-gen, rollback
-	// and validation phases plus the terminal outcome. On a nil registry
-	// the span is nil and every call is a no-op. The execution trace gets
-	// the same structure as nested phase records on the machine's track.
-	ep.span = s.M.Tel.Journal().Begin("recovery", f.Event)
-	ep.trc = s.M.TraceEmitter()
-
 	// Open the lifecycle object before any recovery work: TraceFrom is the
 	// trace cursor at this instant, so the entry's trace slice covers every
-	// record the recovery emits.
+	// record the recovery emits. Every phase the recovery runs — the
+	// diagnosis engine's, then patch-gen, rollback and validation — is
+	// opened with entry.Phase, which times it once into both the entry's
+	// path and nested phase records on the machine's trace track.
+	ep.trc = s.M.TraceEmitter()
 	ep.entry = s.ldg.Begin(ledger.Meta{
 		Source:    s.M.Prog.Name(),
 		Worker:    s.cfg.Machine.TraceWorker,
@@ -141,13 +133,11 @@ func (st *monitorStage) Run(c *stages.Ctx) stages.Status {
 	if f.Early {
 		// The trap came from a protected region's eager check: corruption
 		// was caught at the event that caused it, not at a later use. The
-		// journal and trace record the zero-event detection latency.
-		ep.span.AddPhase("early-detect", 0, "same-event", 0)
-		ep.trc.Emit(trace.KPhaseBegin, trace.PhaseEarlyDetect, uint64(f.Event))
-		ep.trc.Emit(trace.KPhaseEnd, trace.PhaseEarlyDetect, 0)
+		// path and trace record the zero-event detection latency.
+		ep.entry.Phase(ep.trc, trace.PhaseEarlyDetect, uint64(f.Event))(0, "same-event")
 	}
 
-	c.Entry, c.Span, c.Trace = ep.entry, ep.span, ep.trc
+	c.Entry, c.Trace = ep.entry, ep.trc
 	return stages.Next
 }
 
@@ -200,33 +190,31 @@ func (st *triageStage) Run(c *stages.Ctx) stages.Status {
 	if res.Nondeterministic {
 		// The plain re-execution already carried the program past the
 		// failure region; continue from its state.
-
-		rec.RecoveryWall = time.Since(ep.t0)
 		s.met.nondet.Inc()
-		s.met.recoveryWallUS.Observe(uint64(rec.RecoveryWall.Microseconds()))
-		ep.span.End("nondeterministic")
-		ep.trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
-		ep.entry.Update(func(d *ledger.Diagnosis) { d.RecoverySec = rec.RecoveryWall.Seconds() })
-		ep.entry.Close(true, "nondeterministic", s.M.TraceClock(), ep.trc.Tracer().Emitted())
-		rec.Report = report.FromDiagnosis(ep.entry.Snapshot())
-		return stages.Stop
+		return ep.stop(true, "nondeterministic")
 	}
 
 	s.retries[f.Event]++
 	if !res.OK() || s.retries[f.Event] > s.cfg.MaxRetriesPerEvent {
 		s.skipFailingEvent(ep.failCursor)
 		rec.Skipped = true
-		rec.RecoveryWall = time.Since(ep.t0)
 		s.met.skipped.Inc()
-		s.met.recoveryWallUS.Observe(uint64(rec.RecoveryWall.Microseconds()))
-		ep.span.End("skipped")
-		ep.trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
-		ep.entry.Update(func(d *ledger.Diagnosis) { d.RecoverySec = rec.RecoveryWall.Seconds() })
-		ep.entry.Close(false, "skipped", s.M.TraceClock(), ep.trc.Tracer().Emitted())
-		rec.Report = report.FromDiagnosis(ep.entry.Snapshot())
-		return stages.Stop
+		return ep.stop(false, "skipped")
 	}
 	return stages.Next
+}
+
+// stop closes a recovery that triage ends early — non-deterministic or
+// skipped — and stops the plan.
+func (ep *recoveryEpisode) stop(succeeded bool, outcome string) stages.Status {
+	s, rec := ep.s, ep.rec
+	rec.RecoveryWall = time.Since(ep.t0)
+	s.met.recoveryWallUS.Observe(uint64(rec.RecoveryWall.Microseconds()))
+	ep.trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(ep.res.Rollbacks))
+	ep.entry.Update(func(d *ledger.Diagnosis) { d.RecoverySec = rec.RecoveryWall.Seconds() })
+	ep.entry.Close(succeeded, outcome, s.M.TraceClock(), ep.trc.Tracer().Emitted())
+	rec.Report = report.FromDiagnosis(ep.entry.Snapshot())
+	return stages.Stop
 }
 
 // patchGenStage turns the diagnosis findings into pool patches.
@@ -239,8 +227,7 @@ func (st *patchGenStage) Run(c *stages.Ctx) stages.Status {
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
 
-	endGen := ep.span.Phase("patch-gen")
-	ep.trc.Emit(trace.KPhaseBegin, trace.PhasePatchGen, uint64(f.Event))
+	endGen := ep.entry.Phase(ep.trc, trace.PhasePatchGen, uint64(f.Event))
 	for _, fd := range res.Findings {
 		for _, site := range fd.Sites {
 			np := patch.New(fd.Bug, s.M.SiteKey(site))
@@ -250,12 +237,14 @@ func (st *patchGenStage) Run(c *stages.Ctx) stages.Status {
 	}
 	s.Bound.Invalidate()
 	s.met.patchesMade.Add(uint64(len(rec.Patches)))
-	endGen("", len(rec.Patches))
-	ep.trc.Emit(trace.KPhaseEnd, trace.PhasePatchGen, uint64(len(rec.Patches)))
+	endGen(uint64(len(rec.Patches)), "")
 	if len(rec.Patches) > 0 {
 		pis := make([]ledger.PatchInfo, len(rec.Patches))
 		for i, p := range rec.Patches {
-			pis[i] = ledger.NewPatchInfo(p)
+			// Read the flags under the pool lock: a pool shared with other
+			// supervisors may be coalescing their adds into this patch.
+			q, _ := s.Pool.Get(p.ID)
+			pis[i] = ledger.NewPatchInfo(&q)
 		}
 		ep.entry.Add(ledger.Condition{
 			Type:    ledger.PatchGenerated,
@@ -279,8 +268,7 @@ func (st *rollbackStage) Run(c *stages.Ctx) stages.Status {
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
 
-	endRb := ep.span.Phase("rollback")
-	ep.trc.Emit(trace.KPhaseBegin, trace.PhaseRollback, uint64(res.Checkpoint.Seq))
+	endRb := ep.entry.Phase(ep.trc, trace.PhaseRollback, uint64(res.Checkpoint.Seq))
 	s.M.Rollback(res.Checkpoint)
 	s.M.Ckpt.DropAfter(res.Checkpoint)
 	if f.GuardBug != mmbug.None && f.GuardSite != 0 {
@@ -288,8 +276,7 @@ func (st *rollbackStage) Run(c *stages.Ctx) stages.Status {
 		// before any validation clone is taken so clones inherit the boost.
 		s.M.Ext.GuardBoost(f.GuardSite)
 	}
-	endRb("", 1)
-	ep.trc.Emit(trace.KPhaseEnd, trace.PhaseRollback, 1)
+	endRb(1, "")
 
 	rec.RecoveryWall = time.Since(ep.t0)
 	s.met.recoveries.Inc()
@@ -309,13 +296,12 @@ func (st *validateStage) Run(c *stages.Ctx) stages.Status {
 	ep := st.ep
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
-	span, trc, until := ep.span, ep.trc, ep.until
+	trc, until := ep.trc, ep.until
 
 	switch {
 	case s.cfg.DisableValidation:
-		s.finishRecovery(rec)
-		span.End("recovered")
 		trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
+		s.finishRecovery(rec)
 	case s.cfg.ParallelValidation:
 		clone := s.M.Clone()
 		frozen := s.Pool.Clone().Bind(clone.Proc.Sites)
@@ -325,40 +311,36 @@ func (st *validateStage) Run(c *stages.Ctx) stages.Status {
 		pv := &pendingValidation{
 			rec:      rec,
 			done:     make(chan struct{}),
-			span:     span,
 			cloneTel: clone.Tel,
 		}
 		s.pending = append(s.pending, pv)
 		s.met.queueDepth.Set(int64(len(s.pending)))
 		// The main loop resumes now; the validation runs concurrently and
 		// traces on the clone's derived track, so its B/E pair nests
-		// cleanly even while the parent track keeps executing.
+		// cleanly even while the parent track keeps executing. The entry
+		// has one writer, the main goroutine, so the validation times
+		// itself through a nil entry and its path step is appended when
+		// the result is collected.
 		trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
 		go func() {
-			ctrc := clone.TraceEmitter()
-			ctrc.Emit(trace.KPhaseBegin, trace.PhaseValidation, uint64(f.Event))
-			tv := time.Now()
+			endVal := (*ledger.Entry)(nil).Phase(clone.TraceEmitter(), trace.PhaseValidation, uint64(f.Event))
 			v := validate.New(clone, s.cfg.Validation).Validate(cpClone, until)
 			rec.ValidationResult = &v
-			rec.ValidationWall = time.Since(tv)
-			ctrc.Emit(trace.KPhaseEnd, trace.PhaseValidation, uint64(len(v.Traces)))
+			rec.ValidationWall = endVal(uint64(len(v.Traces)), "")
 			close(pv.done)
 		}()
-		// The report — and the span — are completed when the validation
-		// is collected on the main goroutine.
+		// The report is completed when the validation is collected on the
+		// main goroutine.
 	default:
-		tv := time.Now()
-		trc.Emit(trace.KPhaseBegin, trace.PhaseValidation, uint64(f.Event))
+		endVal := ep.entry.Phase(trc, trace.PhaseValidation, uint64(f.Event))
 		v := validate.New(s.M, s.cfg.Validation).Validate(res.Checkpoint, until)
-		rec.ValidationWall = time.Since(tv)
 		rec.ValidationResult = &v
-		trc.Emit(trace.KPhaseEnd, trace.PhaseValidation, uint64(len(v.Traces)))
+		rec.ValidationWall = endVal(uint64(len(v.Traces)), validationOutcome(&v))
 		s.applyValidation(rec)
 		// Return to the recovery point for resumption.
 		s.M.Rollback(res.Checkpoint)
-		s.finishRecovery(rec)
-		s.finishSpan(span, rec)
 		trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
+		s.finishRecovery(rec)
 	}
 	return stages.Next
 }

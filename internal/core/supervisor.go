@@ -151,13 +151,11 @@ type supMetrics struct {
 // pendingValidation tracks one asynchronous validation. The goroutine
 // fills rec.ValidationResult/ValidationWall and closes done; the main
 // thread applies the verdict (mark validated / revoke) when it collects.
-// The clone's telemetry registry and the recovery span ride along so the
-// main thread can fold the clone's counters into the parent and close the
-// span race-free at collect time.
+// The clone's telemetry registry rides along so the main thread can fold
+// the clone's counters into the parent race-free at collect time.
 type pendingValidation struct {
 	rec      *Recovery
 	done     chan struct{}
-	span     *telemetry.Span
 	cloneTel *telemetry.Registry
 }
 
@@ -493,23 +491,12 @@ func (s *Supervisor) recover(f *proc.Fault) {
 	s.recoveryPlan(ep).Run(c)
 }
 
-// finishSpan records the validation phase and the terminal outcome on a
-// completed recovery. Called on the main goroutine only (inline validation,
-// or parallel collect).
-func (s *Supervisor) finishSpan(span *telemetry.Span, rec *Recovery) {
-	if rec.ValidationResult != nil {
-		outcome := "consistent"
-		if !rec.ValidationResult.Consistent {
-			outcome = "inconsistent"
-		}
-		span.AddPhase("validation", rec.ValidationWall, outcome, len(rec.ValidationResult.Traces))
-		s.met.validWallUS.Observe(uint64(rec.ValidationWall.Microseconds()))
+// validationOutcome names a validation verdict for the path step.
+func validationOutcome(v *validate.Result) string {
+	if v.Consistent {
+		return "consistent"
 	}
-	if rec.ValidationResult != nil && !rec.ValidationResult.Consistent {
-		span.End("patches-revoked")
-		return
-	}
-	span.End("recovered")
+	return "inconsistent"
 }
 
 // applyValidation applies a completed validation verdict to the pool.
@@ -547,13 +534,24 @@ func (s *Supervisor) collectValidations(block bool) {
 				continue
 			}
 		}
-		s.applyValidation(pv.rec)
-		s.finishRecovery(pv.rec)
-		// Fold the clone's telemetry into the parent and close the span;
-		// both happen on the main goroutine, after the validation
-		// goroutine has closed done, so neither races with the clone.
+		// The validation goroutine timed itself on the clone's track; its
+		// step joins the path here, on the entry's only writer.
+		rec := pv.rec
+		v := rec.ValidationResult
+		rec.Ledger.Update(func(d *ledger.Diagnosis) {
+			d.Path = append(d.Path, ledger.Step{
+				Name:    trace.PhaseName(trace.PhaseValidation),
+				WallNS:  rec.ValidationWall.Nanoseconds(),
+				N:       uint64(len(v.Traces)),
+				Outcome: validationOutcome(v),
+			})
+		})
+		s.applyValidation(rec)
+		s.finishRecovery(rec)
+		// Fold the clone's telemetry into the parent on the main
+		// goroutine, after the validation goroutine has closed done, so
+		// it never races with the clone.
 		s.M.Tel.Merge(pv.cloneTel)
-		s.finishSpan(pv.span, pv.rec)
 	}
 	s.pending = remaining
 	s.met.queueDepth.Set(int64(len(s.pending)))
@@ -583,6 +581,7 @@ func (s *Supervisor) finishRecovery(rec *Recovery) {
 		cpClock = rec.Result.Checkpoint.Clock
 	}
 	if v := rec.ValidationResult; v != nil {
+		s.met.validWallUS.Observe(uint64(rec.ValidationWall.Microseconds()))
 		cond := ledger.Condition{Clock: cpClock, Validation: ledger.NewValidationInfo(v)}
 		if v.Consistent {
 			cond.Type = ledger.ValidationPassed

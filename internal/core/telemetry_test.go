@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"firstaid/internal/apps"
+	"firstaid/internal/ledger"
 	"firstaid/internal/telemetry"
 )
 
 // TestTelemetryConsistency is the reconciliation soak: after a supervised
-// run with failures, the telemetry registry must agree with the
-// supervisor's own Stats and with itself, under both synchronous and
-// parallel validation:
+// run with failures, the telemetry registry and the diagnosis ledger must
+// agree with the supervisor's own Stats and with themselves, under both
+// synchronous and parallel validation:
 //
-//   - one recovery span per failure, every span terminal;
+//   - one closed diagnosis per failure, each with a non-empty path;
 //   - core.failures == Stats.Failures, core.skipped_events == Stats.Skipped;
 //   - patch.generated == Stats.PatchesMade;
 //   - checkpoints and rollbacks actually counted;
@@ -54,13 +55,16 @@ func TestTelemetryConsistency(t *testing.T) {
 						t.Errorf("patch.generated = %d, Stats.PatchesMade = %d", got, stats.PatchesMade)
 					}
 
-					// One span per failure; all spans must have ended.
-					if len(snap.Spans) != stats.Failures {
-						t.Errorf("%d recovery spans, %d failures", len(snap.Spans), stats.Failures)
+					// One diagnosis per failure; all must have closed, each
+					// with the path of phases it ran.
+					ds := sup.Ledger().List(ledger.Filter{Worker: ledger.AnyWorker})
+					if len(ds) != stats.Failures {
+						t.Errorf("%d diagnoses, %d failures", len(ds), stats.Failures)
 					}
-					for _, sp := range snap.Spans {
-						if !sp.Done || sp.Outcome == "" {
-							t.Errorf("span %d not terminal: %+v", sp.ID, sp)
+					for _, d := range ds {
+						if !d.Done() || d.Outcome == "" || len(d.Path) == 0 {
+							t.Errorf("diagnosis %d not terminal or without a path: phase %s, outcome %q, path %+v",
+								d.ID, d.Phase, d.Outcome, d.Path)
 						}
 					}
 

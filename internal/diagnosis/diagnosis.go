@@ -21,6 +21,7 @@ package diagnosis
 
 import (
 	"fmt"
+	"time"
 
 	"firstaid/internal/allocext"
 	"firstaid/internal/callsite"
@@ -106,7 +107,8 @@ type Config struct {
 	// Ledger, when set, is the recovery's lifecycle entry: the engine
 	// appends the Phase1Skipped/Phase1Completed and CheckpointSelected
 	// conditions, recording every candidate checkpoint it considered and
-	// why the rejected ones were rejected. A nil entry discards appends.
+	// why the rejected ones were rejected, and one path step per phase it
+	// runs. A nil entry discards appends.
 	Ledger *ledger.Entry
 
 	// Prober, when set, may satisfy prefetchable probes (the phase-1
@@ -122,11 +124,9 @@ type Config struct {
 	// Metrics, when set, receives diagnosis counters: total rollbacks and
 	// probe re-executions per phase.
 	Metrics *telemetry.Registry
-	// Span, when set, receives one timed phase per diagnosis phase run,
-	// with the phase's rollback count and outcome.
-	Span *telemetry.Span
 	// Trace, when set, records phase begin/end markers in the execution
-	// trace; the end record carries the phase's rollback count.
+	// trace; the end record carries the phase's rollback count. Each phase
+	// is opened with Ledger.Phase, so the trace and the path agree.
 	Trace trace.Emitter
 }
 
@@ -335,7 +335,7 @@ type Session struct {
 	res      Result
 
 	cp              *checkpoint.Checkpoint
-	endPhase1       func(outcome string, n int)
+	endPhase1       func(n uint64, outcome string) time.Duration
 	phase1Rollbacks int
 	ladder          []*ProbeReq
 	classReqs       map[mmbug.Type]*ProbeReq
@@ -378,15 +378,14 @@ func (s *Session) TryEvidence() {
 }
 
 // terminal seals a phase-1 terminal result (non-deterministic or
-// unpatchable), closing the phase-1 span and trace records.
+// unpatchable), closing phase 1.
 func (s *Session) terminal(res Result) {
 	e := s.e
 	outcome := "unpatchable"
 	if res.Nondeterministic {
 		outcome = "nondeterministic"
 	}
-	s.endPhase1(outcome, e.rollbacks)
-	e.cfg.Trace.Emit(trace.KPhaseEnd, trace.PhaseDiag1, uint64(e.rollbacks))
+	s.endPhase1(uint64(e.rollbacks), outcome)
 	res.Rollbacks = e.rollbacks
 	res.Log = e.log
 	s.res = res
@@ -406,8 +405,7 @@ func (s *Session) Screen() {
 	}
 	e := s.e
 	e.curPhase = e.metPhase1
-	s.endPhase1 = e.cfg.Span.Phase("phase1")
-	e.cfg.Trace.Emit(trace.KPhaseBegin, trace.PhaseDiag1, uint64(s.until))
+	s.endPhase1 = e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag1, uint64(s.until))
 
 	cps := e.m.Checkpoints()
 	if len(cps) == 0 {
@@ -485,8 +483,7 @@ func (s *Session) SelectCheckpoint() {
 				Checkpoint: &ledger.CheckpointInfo{Seq: cp.Seq, Clock: cp.Clock, Cursor: cp.Cursor},
 				Candidates: cands,
 			})
-			s.endPhase1("checkpoint found", e.rollbacks)
-			e.cfg.Trace.Emit(trace.KPhaseEnd, trace.PhaseDiag1, uint64(e.rollbacks))
+			s.endPhase1(uint64(e.rollbacks), "checkpoint found")
 			s.phase1Rollbacks = e.rollbacks
 			s.cp = cp
 			s.prefetchClassProbes()
@@ -541,18 +538,16 @@ func (s *Session) Identify() {
 	}
 	e := s.e
 	e.curPhase = e.metPhase2
-	endPhase2 := e.cfg.Span.Phase("phase2")
-	e.cfg.Trace.Emit(trace.KPhaseBegin, trace.PhaseDiag2, uint64(s.until))
+	endPhase2 := e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag2, uint64(s.until))
 	findings, ok := e.phase2(s.cp, s.until, s.classReqs)
 	result := Result{Checkpoint: s.cp, Findings: findings, Rollbacks: e.rollbacks}
+	outcome := "identified"
 	if !ok {
 		result.Unpatchable = true
 		e.logf("phase 2 failed to isolate a patchable bug set; marking non-patchable")
-		endPhase2("unpatchable", e.rollbacks-s.phase1Rollbacks)
-	} else {
-		endPhase2("identified", e.rollbacks-s.phase1Rollbacks)
+		outcome = "unpatchable"
 	}
-	e.cfg.Trace.Emit(trace.KPhaseEnd, trace.PhaseDiag2, uint64(e.rollbacks-s.phase1Rollbacks))
+	endPhase2(uint64(e.rollbacks-s.phase1Rollbacks), outcome)
 	result.Log = e.log
 	s.res = result
 	s.done = true
@@ -600,15 +595,13 @@ func (e *Engine) confirmEvidence(until int) (Result, bool) {
 	}
 
 	e.curPhase = e.metGuard
-	endPhase := e.cfg.Span.Phase("guard-confirm")
-	e.cfg.Trace.Emit(trace.KPhaseBegin, trace.PhaseGuardConfirm, uint64(until))
+	endPhase := e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseGuardConfirm, uint64(until))
 	cs := allocext.NewChangeSet()
 	cs.AddPreventive(ev.Bug, callsite.NewSet(ev.Site))
 	out := e.reexec(cp, cs, until, false)
 	if out.Passed() && out.MetaErr == nil {
 		e.logf("guard evidence confirmed: preventive %v at %v alone survives the failure region from %v", ev.Bug, ev.Site, cp)
-		endPhase("confirmed", 1)
-		e.cfg.Trace.Emit(trace.KPhaseEnd, trace.PhaseGuardConfirm, uint64(e.rollbacks))
+		endPhase(uint64(e.rollbacks), "confirmed")
 		var cands []ledger.CandidateInfo
 		for _, c := range e.m.Checkpoints() {
 			switch {
@@ -645,8 +638,7 @@ func (e *Engine) confirmEvidence(until int) (Result, bool) {
 	} else {
 		e.logf("guard evidence not confirmed (metadata corruption: %v); falling back to full diagnosis", out.MetaErr)
 	}
-	endPhase("fallback", 1)
-	e.cfg.Trace.Emit(trace.KPhaseEnd, trace.PhaseGuardConfirm, uint64(e.rollbacks))
+	endPhase(uint64(e.rollbacks), "fallback")
 	return Result{}, false
 }
 

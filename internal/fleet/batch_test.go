@@ -321,3 +321,46 @@ func TestRunLoadErrorBreakdown(t *testing.T) {
 		t.Fatalf("transport errors = %d, http = %d, want 2/0", rep.TransportErrors, rep.HTTPErrors)
 	}
 }
+
+// FuzzBatchDecode feeds arbitrary bytes to the wire decoder. It must never
+// panic; a count beyond MaxBatchEvents must fail with ErrBatchTooLarge;
+// and whatever decodes must survive a round trip: AppendBatch re-encodes
+// the items into a frame that decodes to the same items. The round trip
+// compares items, not bytes: encoding/binary accepts overlong varints, so
+// "FAB\x01\x80\x00" decodes as an empty batch and re-encodes one byte
+// shorter.
+func FuzzBatchDecode(f *testing.F) {
+	good := AppendBatch(nil, wireItems(3, "s"))
+	f.Add(good)
+	f.Add(AppendBatch(nil, nil))
+	f.Add(append([]byte("FAB\x02"), good[4:]...))
+	f.Add(good[:len(good)-2])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(binary.AppendUvarint([]byte("FAB\x01"), MaxBatchEvents+1))
+	f.Add([]byte("FAB\x01\x80\x00"))
+
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		items, err := DecodeBatch(wire, nil)
+		if len(wire) >= 4 && string(wire[:4]) == "FAB\x01" {
+			if count, n := binary.Uvarint(wire[4:]); n > 0 && count > MaxBatchEvents && !errors.Is(err, ErrBatchTooLarge) {
+				t.Fatalf("count %d over the limit decoded with err %v", count, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeBatch(AppendBatch(nil, items), nil)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if len(again) != len(items) {
+			t.Fatalf("round trip: %d items, want %d", len(again), len(items))
+		}
+		for i := range items {
+			a, b := items[i], again[i]
+			if !bytes.Equal(a.Kind, b.Kind) || !bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Src, b.Src) || a.N != b.N {
+				t.Fatalf("round trip item %d: %+v, want %+v", i, b, a)
+			}
+		}
+	})
+}

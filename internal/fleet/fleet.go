@@ -80,9 +80,6 @@ type Config struct {
 	// TraceCapacity sizes the ring when Trace is nil (default
 	// trace.DefaultCapacity).
 	TraceCapacity int
-	// JournalSpans caps each worker's telemetry journal (recovery spans
-	// retained); 0 keeps the journal default.
-	JournalSpans int
 	// Ledger is the shared diagnosis ledger all workers write through. A
 	// fresh one (LedgerCapacity entries) is created when nil: the ledger
 	// is always on — it is the service's /diagnoses surface.
@@ -225,9 +222,6 @@ func New(newProg func() app.Program, cfg Config) *Fleet {
 		scfg.Pool = f.pool
 		scfg.Ledger = f.ldg
 		wreg := telemetry.NewRegistry()
-		if cfg.JournalSpans > 0 {
-			wreg.Journal().SetCap(cfg.JournalSpans)
-		}
 		scfg.Machine.Metrics = wreg
 		scfg.Machine.Trace = f.trc
 		scfg.Machine.TraceWorker = i
@@ -468,7 +462,7 @@ func (f *Fleet) Ledger() *ledger.Ledger { return f.ldg }
 
 // BundleInput assembles the postmortem-bundle input for one diagnosis: its
 // trace slice from the fleet ring and the owning worker's telemetry
-// snapshot (spans and instruments). Safe while the fleet is serving.
+// snapshot. Safe while the fleet is serving.
 func (f *Fleet) BundleInput(id uint64) (report.BundleInput, bool) {
 	d, ok := f.ldg.Get(id)
 	if !ok {
@@ -487,8 +481,8 @@ func (f *Fleet) BundleInput(id uint64) (report.BundleInput, bool) {
 func (f *Fleet) Workers() int { return len(f.workers) }
 
 // Snapshot merges the fleet registry and every worker registry into one
-// telemetry view — counters and histograms add, recovery spans concatenate.
-// Safe while the fleet is serving.
+// telemetry view — counters and histograms add. Safe while the fleet is
+// serving.
 func (f *Fleet) Snapshot() telemetry.Snapshot {
 	regs := make([]*telemetry.Registry, 0, len(f.workers)+1)
 	regs = append(regs, f.reg)

@@ -6,6 +6,12 @@
 // candidate checkpoints phase-1 probed and why it rejected them, the
 // generated patch parameters and the per-iteration validation verdicts.
 //
+// Each diagnosis also records the Path it took, kubediag's SucceededPath:
+// one Step per recovery phase, with its wall time, work count and outcome.
+// Entry.Phase is the only instrumentation point for a phase — it emits the
+// phase's trace begin/end records and appends the step — so the trace (the
+// timeline) and the ledger (the retained record) cannot disagree.
+//
 // The ledger is an in-process store shaped like the telemetry layer:
 // bounded rings, monotonic IDs, and a single-writer discipline (the
 // supervisor goroutine is the only mutator of an open entry; parallel
@@ -28,6 +34,7 @@ import (
 	"firstaid/internal/callsite"
 	"firstaid/internal/patch"
 	"firstaid/internal/proc"
+	"firstaid/internal/trace"
 	"firstaid/internal/validate"
 )
 
@@ -229,6 +236,17 @@ type Condition struct {
 	Speculation *SpecInfo       `json:"speculation,omitempty"`
 }
 
+// Step is one timed recovery phase on a diagnosis's path. Name is the
+// trace phase name (trace.PhaseName) and N the count its trace end record
+// carries: rollbacks for the diagnosis phases, patches for patch-gen, 1 for
+// rollback, randomized re-executions for validation.
+type Step struct {
+	Name    string `json:"name"`
+	WallNS  int64  `json:"wallNs"`
+	N       uint64 `json:"n"`
+	Outcome string `json:"outcome,omitempty"`
+}
+
 // Diagnosis is one recovery attempt's lifecycle object. Exactly one is
 // created per supervisor recovery (including skipped and
 // non-deterministic outcomes).
@@ -250,6 +268,9 @@ type Diagnosis struct {
 
 	Conditions []Condition `json:"conditions"`
 	DiagLog    []string    `json:"diagLog,omitempty"`
+	// Path lists the recovery phases in the order they ran. Its walls
+	// differ from run to run, so it is left out of Canonical.
+	Path []Step `json:"path,omitempty"`
 
 	BeginCycles uint64 `json:"beginCycles"`
 	EndCycles   uint64 `json:"endCycles,omitempty"`
@@ -312,9 +333,10 @@ type canonicalDiagnosis struct {
 
 // Canonical returns the mode-invariant JSON projection of the diagnosis:
 // the evidence chain, process clocks and outcome, minus wall clocks,
-// machine cycle stamps, trace cursors, worker index, supervision mode and
-// the repro command (which names the mode). Two runs of the same seed in
-// any supervision mode yield byte-identical canonical forms.
+// machine cycle stamps, trace cursors, the timed path, worker index,
+// supervision mode and the repro command (which names the mode). Two runs
+// of the same seed in any supervision mode yield byte-identical canonical
+// forms.
 func (d *Diagnosis) Canonical() ([]byte, error) {
 	cd := canonicalDiagnosis{
 		ID:        d.ID,
@@ -623,6 +645,7 @@ func copyDiagnosis(d *Diagnosis) *Diagnosis {
 		cp.Conditions[i] = cc
 	}
 	cp.DiagLog = append([]string(nil), d.DiagLog...)
+	cp.Path = append([]Step(nil), d.Path...)
 	cp.PatchRefs = append([]*patch.Patch(nil), d.PatchRefs...)
 	return &cp
 }
@@ -653,6 +676,24 @@ func (e *Entry) Add(c Condition) {
 	defer e.l.mu.Unlock()
 	c.WallNS = e.l.now()
 	e.d.Conditions = append(e.d.Conditions, c)
+}
+
+// Phase opens one recovery phase: it emits the phase's trace begin record
+// (id is a trace.Phase* ID, anchor its begin argument) and starts the wall
+// clock. The returned closer emits the matching end record carrying n,
+// appends the step to the diagnosis path, and returns the wall time it
+// measured. On a nil entry the trace records and the timing still happen.
+func (e *Entry) Phase(em trace.Emitter, id, anchor uint64) func(n uint64, outcome string) time.Duration {
+	em.Emit(trace.KPhaseBegin, id, anchor)
+	t0 := time.Now()
+	return func(n uint64, outcome string) time.Duration {
+		wall := time.Since(t0)
+		em.Emit(trace.KPhaseEnd, id, n)
+		e.Update(func(d *Diagnosis) {
+			d.Path = append(d.Path, Step{Name: trace.PhaseName(id), WallNS: wall.Nanoseconds(), N: n, Outcome: outcome})
+		})
+		return wall
+	}
 }
 
 // Run moves the diagnosis to PhaseRunning.

@@ -2,7 +2,10 @@ package ledger
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"firstaid/internal/trace"
 )
 
 func testLedger(cap int) *Ledger {
@@ -216,5 +219,53 @@ func TestCanonicalExcludesModeVaryingFields(t *testing.T) {
 		if bytes.Contains(ca, []byte(banned)) {
 			t.Fatalf("canonical form leaks %q:\n%s", banned, ca)
 		}
+	}
+}
+
+// TestPhaseTracesAndRecordsOnce pins Entry.Phase: one call emits the
+// phase's trace begin/end pair and appends one path step carrying the
+// end record's count and the wall the closer returned; a nil entry still
+// traces and times; and the path stays out of the canonical projection.
+func TestPhaseTracesAndRecordsOnce(t *testing.T) {
+	trc := trace.New(64)
+	em := trc.Emitter(0, nil)
+	l := testLedger(4)
+	e := l.Begin(Meta{Source: "apache", Event: 7})
+	wall := e.Phase(em, trace.PhaseDiag1, 40)(5, "checkpoint found")
+	e.Phase(em, trace.PhaseRollback, 3)(1, "")
+	var none *Entry
+	none.Phase(em, trace.PhaseValidation, 7)(3, "consistent")
+
+	type rec struct {
+		kind       trace.Kind
+		arg1, arg2 uint64
+	}
+	var got []rec
+	for _, r := range trc.Snapshot() {
+		got = append(got, rec{r.Kind, r.Arg1, r.Arg2})
+	}
+	want := []rec{
+		{trace.KPhaseBegin, trace.PhaseDiag1, 40}, {trace.KPhaseEnd, trace.PhaseDiag1, 5},
+		{trace.KPhaseBegin, trace.PhaseRollback, 3}, {trace.KPhaseEnd, trace.PhaseRollback, 1},
+		{trace.KPhaseBegin, trace.PhaseValidation, 7}, {trace.KPhaseEnd, trace.PhaseValidation, 3},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace records %+v, want %+v", got, want)
+	}
+
+	path := e.Snapshot().Path
+	if len(path) != 2 || path[0] != (Step{Name: "phase1", WallNS: wall.Nanoseconds(), N: 5, Outcome: "checkpoint found"}) ||
+		path[1].Name != "rollback" || path[1].N != 1 {
+		t.Fatalf("path = %+v", path)
+	}
+
+	c1, err := e.Snapshot().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Update(func(d *Diagnosis) { d.Path[0].WallNS++ })
+	c2, _ := e.Snapshot().Canonical()
+	if !bytes.Equal(c1, c2) || bytes.Contains(c1, []byte("path")) {
+		t.Fatalf("canonical projection depends on the path:\n%s", c1)
 	}
 }

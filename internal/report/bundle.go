@@ -20,9 +20,8 @@ import (
 // BundleInput is everything that goes into one postmortem bundle.
 type BundleInput struct {
 	D       *ledger.Diagnosis
-	Trace   []trace.Record           // the diagnosis's slice of the execution trace
-	Spans   []telemetry.SpanSnapshot // span-journal entries for the failing event
-	Metrics *telemetry.Snapshot      // telemetry snapshot of the owning worker
+	Trace   []trace.Record      // the diagnosis's slice of the execution trace
+	Metrics *telemetry.Snapshot // telemetry snapshot of the owning worker
 	// StripWall zeroes every wall-clock field and drops wall-derived
 	// ("_us") histograms, leaving only deterministic content — the form
 	// the byte-identity determinism test compares.
@@ -31,10 +30,9 @@ type BundleInput struct {
 
 // BundleFor assembles the bundle input for one diagnosis: its trace slice
 // (records emitted between TraceFrom and TraceTo on the owning worker's
-// tracks), its span-journal entries (matched by failing event) and the
-// metrics snapshot. trc and snap may be nil.
+// tracks) and the metrics snapshot. trc and snap may be nil.
 func BundleFor(d *ledger.Diagnosis, trc *trace.Tracer, snap *telemetry.Snapshot) BundleInput {
-	in := BundleInput{D: d}
+	in := BundleInput{D: d, Metrics: snap}
 	if trc != nil {
 		for _, rec := range trc.Since(d.TraceFrom) {
 			if d.TraceTo > 0 && rec.Seq >= d.TraceTo {
@@ -44,18 +42,6 @@ func BundleFor(d *ledger.Diagnosis, trc *trace.Tracer, snap *telemetry.Snapshot)
 				in.Trace = append(in.Trace, rec)
 			}
 		}
-	}
-	if snap != nil {
-		for _, sp := range snap.Spans {
-			if sp.Event == d.Event {
-				in.Spans = append(in.Spans, sp)
-			}
-		}
-		// metrics.json carries the instruments only; spans.json has the
-		// journal slice.
-		m := *snap
-		m.Spans = nil
-		in.Metrics = &m
 	}
 	return in
 }
@@ -75,19 +61,15 @@ func (in BundleInput) sanitized() BundleInput {
 		for i := range d.Conditions {
 			d.Conditions[i].WallNS = 0
 		}
+		d.Path = append([]ledger.Step(nil), in.D.Path...)
+		for i := range d.Path {
+			d.Path[i].WallNS = 0
+		}
 		out.D = &d
 	}
 	out.Trace = append([]trace.Record(nil), in.Trace...)
 	for i := range out.Trace {
 		out.Trace[i].WallNS = 0
-	}
-	out.Spans = append([]telemetry.SpanSnapshot(nil), in.Spans...)
-	for i := range out.Spans {
-		out.Spans[i].Wall = 0
-		out.Spans[i].Phases = append([]telemetry.Phase(nil), out.Spans[i].Phases...)
-		for j := range out.Spans[i].Phases {
-			out.Spans[i].Phases[j].Wall = 0
-		}
 	}
 	if in.Metrics != nil {
 		m := *in.Metrics
@@ -106,13 +88,12 @@ func (in BundleInput) sanitized() BundleInput {
 // BundleArtifacts generates the bundle's file set in its fixed layout:
 //
 //	REPRO.txt                 — exact firstaid-run command (chaos sources)
-//	diagnosis.json            — the full Diagnosis object
+//	diagnosis.json            — the full Diagnosis object, timed path included
 //	diagnosis.canonical.json  — its mode-invariant projection
 //	failure.core, diag.log, mm_trace_orig.log,
 //	mm_trace_patched.log, illegal_access.log,
 //	report.txt                — the Figure-5 report files
 //	trace.txt, trace.json     — the trace slice (text + chrome formats)
-//	spans.json                — span-journal entries for the event
 //	metrics.json              — telemetry snapshot
 func BundleArtifacts(in BundleInput) ([]Artifact, error) {
 	in = in.sanitized()
@@ -149,13 +130,6 @@ func BundleArtifacts(in BundleInput) ([]Artifact, error) {
 			return nil, fmt.Errorf("bundle: chrome trace: %w", err)
 		}
 		arts = append(arts, Artifact{"trace.txt", txt.Bytes()}, Artifact{"trace.json", chrome.Bytes()})
-	}
-	if len(in.Spans) > 0 {
-		sp, err := json.MarshalIndent(in.Spans, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("bundle: marshal spans: %w", err)
-		}
-		arts = append(arts, Artifact{"spans.json", append(sp, '\n')})
 	}
 	if in.Metrics != nil {
 		mb, err := json.MarshalIndent(in.Metrics, "", "  ")

@@ -17,15 +17,15 @@ func sampleBundleInput(t *testing.T) BundleInput {
 	d := guardDiagnosis(t)
 	d.Repro = "firstaid-run -chaos-seed 0x2a -chaos-class overflow -chaos-mode sync"
 	d.Mode = "sync"
+	d.Path = []ledger.Step{
+		{Name: "guard-confirm", WallNS: 999, N: 1, Outcome: "confirmed"},
+		{Name: "patch-gen", WallNS: 42, N: 1},
+	}
 	return BundleInput{
 		D: d,
 		Trace: []trace.Record{
 			{Seq: 10, Cycles: 100, WallNS: 555, Kind: trace.KMalloc, Arg1: 0x1000, Arg2: 64},
 			{Seq: 11, Cycles: 140, WallNS: 777, Kind: trace.KFree, Arg1: 0x1000},
-		},
-		Spans: []telemetry.SpanSnapshot{
-			{ID: 1, Kind: "recovery", Event: 439, Outcome: "recovered", Wall: 12345, Done: true,
-				Phases: []telemetry.Phase{{Name: "diagnosis", Wall: 999, N: 3}}},
 		},
 		Metrics: &telemetry.Snapshot{
 			Counters: map[string]uint64{"proc.mallocs": 7},
@@ -50,7 +50,7 @@ func TestBundleLayout(t *testing.T) {
 		"REPRO.txt", "diagnosis.json", "diagnosis.canonical.json",
 		"failure.core", "diag.log", "mm_trace_orig.log", "mm_trace_patched.log",
 		"illegal_access.log", "report.txt", "trace.txt", "trace.json",
-		"spans.json", "metrics.json",
+		"metrics.json",
 	} {
 		if _, ok := files[want]; !ok {
 			t.Errorf("bundle missing %s (have %d members)", want, len(files))
@@ -66,7 +66,7 @@ func TestBundleLayout(t *testing.T) {
 	if err := json.Unmarshal(files["diagnosis.json"], &d); err != nil {
 		t.Fatalf("diagnosis.json: %v", err)
 	}
-	if d.ID != 1 || len(d.Conditions) == 0 {
+	if d.ID != 1 || len(d.Conditions) == 0 || len(d.Path) != 2 || d.Path[0].Outcome != "confirmed" {
 		t.Fatalf("diagnosis.json round-trip: %+v", d)
 	}
 }
@@ -89,8 +89,9 @@ func TestBundleStripWallIsDeterministic(t *testing.T) {
 	for i := range in2.Trace {
 		in2.Trace[i].WallNS = int64(31337 + i)
 	}
-	in2.Spans[0].Wall = 1
-	in2.Spans[0].Phases[0].Wall = 2
+	for i := range in2.D.Path {
+		in2.D.Path[i].WallNS = int64(2000 + i)
+	}
 	if err := WriteBundle(&b, in2); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestBundleStripWallIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBundleForSlicesTraceAndSpans(t *testing.T) {
+func TestBundleForSlicesTrace(t *testing.T) {
 	trc := trace.New(64)
 	em := trc.Emitter(0, nil)
 	em.Emit(trace.KMalloc, 0x1, 1) // seq 0: before the window
@@ -119,22 +120,13 @@ func TestBundleForSlicesTraceAndSpans(t *testing.T) {
 	em.Emit(trace.KFree, 0x2, 0)      // seq 3
 	em.Emit(trace.KMalloc, 0x4, 4)    // seq 4: after the window
 
-	snap := &telemetry.Snapshot{
-		Counters: map[string]uint64{"x": 1},
-		Spans: []telemetry.SpanSnapshot{
-			{ID: 1, Kind: "recovery", Event: 7},
-			{ID: 2, Kind: "recovery", Event: 9},
-		},
-	}
+	snap := &telemetry.Snapshot{Counters: map[string]uint64{"x": 1}}
 	d := &ledger.Diagnosis{ID: 1, Worker: 0, Event: 7, TraceFrom: 1, TraceTo: 4}
 	in := BundleFor(d, trc, snap)
 	if len(in.Trace) != 2 || in.Trace[0].Seq != 1 || in.Trace[1].Seq != 3 {
 		t.Fatalf("trace slice = %+v", in.Trace)
 	}
-	if len(in.Spans) != 1 || in.Spans[0].Event != 7 {
-		t.Fatalf("span slice = %+v", in.Spans)
-	}
-	if in.Metrics == nil || in.Metrics.Spans != nil {
+	if in.Metrics != snap {
 		t.Fatalf("metrics snapshot: %+v", in.Metrics)
 	}
 }

@@ -2,8 +2,8 @@
 // named stages over a shared recovery context, instead of control flow
 // hardcoded in core.Supervisor. The contract between stages is the state
 // the context carries — the failing fault, the replay-log window, the
-// ledger entry collecting conditions, the span/trace handles, and the
-// diagnosis session — so a strategy can reorder, skip or extend stages
+// ledger entry collecting conditions and path steps, the trace handle, and
+// the diagnosis session — so a strategy can reorder, skip or extend stages
 // (the guard fast path, speculation, distributed validation) without the
 // supervisor changing shape.
 //
@@ -17,7 +17,6 @@ import (
 	"firstaid/internal/diagnosis"
 	"firstaid/internal/ledger"
 	"firstaid/internal/proc"
-	"firstaid/internal/telemetry"
 	"firstaid/internal/trace"
 )
 
@@ -95,9 +94,7 @@ type Ctx struct {
 	// Entry is the recovery's ledger lifecycle entry (nil-safe: appends on
 	// a nil entry are discarded).
 	Entry *ledger.Entry
-	// Span is the recovery's span journal entry; Trace emits on the
-	// supervising worker's track.
-	Span  *telemetry.Span
+	// Trace emits on the supervising worker's track.
 	Trace trace.Emitter
 
 	// NewSession opens the diagnosis session on first use; the supervisor

@@ -47,8 +47,6 @@ func writeBuildInfo(w io.Writer) error {
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format, prefixed with the process-identity series (build info, uptime).
-// Spans are omitted — they are structured episodes, not scrapeable
-// series; scrape the counters/histograms and read spans from /metrics JSON.
 func WritePrometheus(w io.Writer, snap Snapshot) error {
 	if err := writeBuildInfo(w); err != nil {
 		return err

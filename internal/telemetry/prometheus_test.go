@@ -9,80 +9,6 @@ import (
 	"time"
 )
 
-func TestJournalCapEvictsOldest(t *testing.T) {
-	r := NewRegistry()
-	j := r.Journal()
-	j.SetCap(4)
-	for i := 0; i < 10; i++ {
-		j.Begin("recovery", i).End("recovered")
-	}
-	if got := j.Len(); got != 4 {
-		t.Fatalf("journal retains %d spans, want 4", got)
-	}
-	if got := j.Dropped(); got != 6 {
-		t.Fatalf("Dropped() = %d, want 6", got)
-	}
-	spans := j.Snapshot()
-	for i, sp := range spans {
-		if want := 6 + i; sp.Event != want {
-			t.Fatalf("span %d anchored at event %d, want %d (newest retained)", i, sp.Event, want)
-		}
-	}
-
-	// The snapshot surfaces the eviction as a counter.
-	snap := r.Snapshot()
-	if got := snap.Counters["journal.spans_dropped"]; got != 6 {
-		t.Fatalf("journal.spans_dropped = %d, want 6", got)
-	}
-
-	// Shrinking the cap evicts immediately.
-	j.SetCap(2)
-	if j.Len() != 2 || j.Dropped() != 8 {
-		t.Fatalf("after SetCap(2): len=%d dropped=%d, want 2/8", j.Len(), j.Dropped())
-	}
-
-	// SetCap(0) restores the default without evicting anything retained.
-	j.SetCap(0)
-	if j.Len() != 2 {
-		t.Fatalf("after SetCap(0): len=%d, want 2", j.Len())
-	}
-}
-
-func TestJournalDefaultCap(t *testing.T) {
-	r := NewRegistry()
-	j := r.Journal()
-	for i := 0; i < DefaultSpanCap+5; i++ {
-		j.Begin("recovery", i)
-	}
-	if got := j.Len(); got != DefaultSpanCap {
-		t.Fatalf("journal retains %d spans, want DefaultSpanCap=%d", got, DefaultSpanCap)
-	}
-	if got := j.Dropped(); got != 5 {
-		t.Fatalf("Dropped() = %d, want 5", got)
-	}
-	// No dropped spans → no counter in a fresh registry's snapshot.
-	if _, ok := NewRegistry().Snapshot().Counters["journal.spans_dropped"]; ok {
-		t.Fatal("spans_dropped reported with nothing dropped")
-	}
-}
-
-func TestMergedSnapshotSumsDropped(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Journal().SetCap(1)
-	b.Journal().SetCap(1)
-	for i := 0; i < 3; i++ {
-		a.Journal().Begin("recovery", i)
-		b.Journal().Begin("recovery", i)
-	}
-	snap := MergedSnapshot(a, b)
-	if got := snap.Counters["journal.spans_dropped"]; got != 4 {
-		t.Fatalf("merged spans_dropped = %d, want 4", got)
-	}
-	if len(snap.Spans) != 2 {
-		t.Fatalf("merged spans = %d, want 2", len(snap.Spans))
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("heap.mallocs").Add(42)

@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer of the First-Aid runtime: a
 // lightweight, allocation-free metrics registry (counters, gauges,
-// histograms) plus a structured event journal of the supervision pipeline
-// (one span per failure → rollback → diagnosis → patch → validation cycle).
+// histograms). What happened in each recovery is not kept here: the
+// diagnosis ledger (internal/ledger) records each recovery's timed path,
+// and the execution trace (internal/trace) its timeline.
 //
 // Production memory-bug tooling lives or dies by cheap always-on telemetry:
 // an operator deciding whether to keep First-Aid enabled needs checkpoint
@@ -12,9 +13,9 @@
 //     once, at wiring time; the per-operation path never touches a map,
 //     a lock, or the allocator.
 //   - A nil *Registry is the "off" switch. Every method on a nil registry,
-//     counter, gauge, histogram, journal or span is a safe no-op, so
-//     instrumented code carries no conditionals — it simply calls through
-//     whatever pointers it was wired with.
+//     counter, gauge or histogram is a safe no-op, so instrumented code
+//     carries no conditionals — it simply calls through whatever pointers
+//     it was wired with.
 //   - Everything is safe under the supervisor's parallel-validation
 //     goroutines: instruments are atomics, registries merge cloned-machine
 //     results into the parent with Merge, and snapshots may be taken while
@@ -221,7 +222,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	journal    Journal
 }
 
 // NewRegistry creates an empty registry.
@@ -279,21 +279,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Journal returns the registry's event journal (nil on a nil registry).
-func (r *Registry) Journal() *Journal {
-	if r == nil {
-		return nil
-	}
-	return &r.journal
-}
-
 // Merge folds src's counters and histograms into r, adding counts
 // bucket-wise. The supervisor calls this when collecting a parallel
 // validation: the cloned machine carries its own registry so the validation
 // goroutine never contends with the main loop, and its work is accounted to
 // the parent here. Gauges are instantaneous levels owned by the live
-// machine and are not merged; spans are created only by the supervisor, so
-// clone journals are always empty. Merging a nil src (or into a nil r) is a
+// machine and are not merged. Merging a nil src (or into a nil r) is a
 // no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
@@ -321,37 +312,23 @@ func (r *Registry) Merge(src *Registry) {
 }
 
 // MergedSnapshot folds several registries into one snapshot: counters and
-// histograms add, gauges are dropped (instantaneous levels owned by their
-// machine), and the journals' spans concatenate in registry order. Nil
-// registries are skipped. This is the fleet-level view: one registry per
-// worker plus the fleet's own, rendered as a single set of instruments.
+// histograms add, and gauges are dropped (instantaneous levels owned by
+// their machine). Nil registries are skipped. This is the fleet-level
+// view: one registry per worker plus the fleet's own, rendered as a single
+// set of instruments.
 func MergedSnapshot(regs ...*Registry) Snapshot {
 	m := NewRegistry()
-	var spans []SpanSnapshot
-	var dropped uint64
 	for _, r := range regs {
-		if r == nil {
-			continue
-		}
 		m.Merge(r)
-		spans = append(spans, r.journal.Snapshot()...)
-		dropped += r.journal.Dropped()
 	}
-	snap := m.Snapshot()
-	snap.Spans = spans
-	if dropped > 0 {
-		snap.Counters["journal.spans_dropped"] = dropped
-	}
-	return snap
+	return m.Snapshot()
 }
 
-// Snapshot is the JSON view of a registry: every instrument by name, plus
-// the recovery spans recorded so far.
+// Snapshot is the JSON view of a registry: every instrument by name.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
 }
 
 // Snapshot captures the registry's current state. It is safe to call while
@@ -385,9 +362,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range counters {
 		snap.Counters[name] = c.Value()
 	}
-	if d := r.journal.Dropped(); d > 0 {
-		snap.Counters["journal.spans_dropped"] = d
-	}
 	for name, g := range gauges {
 		snap.Gauges[name] = g.Value()
 	}
@@ -408,7 +382,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		snap.Histograms[name] = hs
 	}
-	snap.Spans = r.journal.Snapshot()
 	return snap
 }
 

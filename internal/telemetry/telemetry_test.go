@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilRegistryIsSafeNoOp(t *testing.T) {
@@ -14,17 +13,10 @@ func TestNilRegistryIsSafeNoOp(t *testing.T) {
 	r.Gauge("g").Set(3)
 	r.Gauge("g").Add(-1)
 	r.Histogram("h").Observe(42)
-	r.Journal().Begin("recovery", 1).AddPhase("p", time.Second, "ok", 1)
-	sp := r.Journal().Begin("recovery", 2)
-	sp.Phase("q")("done", 3)
-	sp.End("recovered")
-	if sp.Done() || sp.Outcome() != "" {
-		t.Fatal("nil span reported state")
-	}
 	r.Merge(NewRegistry())
 	NewRegistry().Merge(r)
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", snap)
 	}
 	if r.CounterNames() != nil {
@@ -150,49 +142,11 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	}
 }
 
-func TestJournalSpanLifecycle(t *testing.T) {
-	r := NewRegistry()
-	j := r.Journal()
-	sp := j.Begin("recovery", 439)
-	done := sp.Phase("phase1")
-	done("checkpoint found", 5)
-	sp.AddPhase("patch-gen", 3*time.Millisecond, "", 7)
-	if sp.Done() {
-		t.Fatal("span done before End")
-	}
-	sp.End("recovered")
-	sp.End("overwritten") // second End must not overwrite
-	if !sp.Done() || sp.Outcome() != "recovered" {
-		t.Fatalf("outcome = %q", sp.Outcome())
-	}
-
-	spans := j.Snapshot()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d", len(spans))
-	}
-	s := spans[0]
-	if s.Kind != "recovery" || s.Event != 439 || !s.Done || s.Outcome != "recovered" {
-		t.Fatalf("span snapshot = %+v", s)
-	}
-	if len(s.Phases) != 2 || s.Phases[0].Name != "phase1" || s.Phases[0].N != 5 {
-		t.Fatalf("phases = %+v", s.Phases)
-	}
-	if s.Phases[1].Wall != 3*time.Millisecond || s.Phases[1].N != 7 {
-		t.Fatalf("phase 2 = %+v", s.Phases[1])
-	}
-	if j.Len() != 1 {
-		t.Fatalf("journal len = %d", j.Len())
-	}
-}
-
 func TestSnapshotJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.failures").Inc()
 	r.Gauge("core.pending_validations").Set(2)
 	r.Histogram("ckpt.dirty_pages_per_ckpt").Observe(33)
-	sp := r.Journal().Begin("recovery", 10)
-	sp.AddPhase("validation", time.Millisecond, "consistent", 3)
-	sp.End("recovered")
 
 	raw, err := r.Snapshot().JSON()
 	if err != nil {
@@ -210,9 +164,6 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 	}
 	if back.Histograms["ckpt.dirty_pages_per_ckpt"].Count != 1 {
 		t.Fatalf("histograms = %+v", back.Histograms)
-	}
-	if len(back.Spans) != 1 || back.Spans[0].Outcome != "recovered" {
-		t.Fatalf("spans = %+v", back.Spans)
 	}
 }
 
@@ -241,11 +192,10 @@ func TestBucketLabel(t *testing.T) {
 
 func TestMergedSnapshotAcrossRegistries(t *testing.T) {
 	// Three registries model a fleet: the fleet-level registry plus one
-	// per worker. MergedSnapshot must sum counters and histograms, carry
-	// every journal's spans, skip nils, and leave the inputs untouched.
+	// per worker. MergedSnapshot must sum counters and histograms, skip
+	// nils, and leave the inputs untouched.
 	front := NewRegistry()
 	front.Counter("fleet.submitted").Add(10)
-	front.Journal().Begin("recovery", 3).End("recovered")
 
 	w0 := NewRegistry()
 	w0.Counter("heap.mallocs").Add(100)
@@ -266,9 +216,6 @@ func TestMergedSnapshotAcrossRegistries(t *testing.T) {
 	h, ok := snap.Histograms["ckpt.dirty"]
 	if !ok || h.Count != 2 || h.Sum != 32 || h.Max != 24 {
 		t.Fatalf("merged histogram = %+v (ok=%v)", h, ok)
-	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Kind != "recovery" {
-		t.Fatalf("spans = %+v, want the one recovery span", snap.Spans)
 	}
 	// Gauges are instantaneous levels of one registry — dropped.
 	if _, ok := snap.Gauges["queue"]; ok {

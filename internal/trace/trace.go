@@ -2,9 +2,9 @@
 // runtime: a sharded ring buffer of fixed-size binary records, each
 // stamped with both the simulated cycle clock and wall-clock time.
 //
-// Where telemetry (counters, histograms, journal spans) answers "how much"
-// and "what happened per episode", the tracer answers "when, and in what
-// interleaving": every malloc with its call-site, every COW page copy,
+// Where telemetry (counters, histograms) answers "how much" and the
+// diagnosis ledger "what happened per recovery", the tracer answers "when,
+// and in what interleaving": every malloc with its call-site, every COW page copy,
 // every checkpoint, rollback, diagnosis phase and patch mutation lands in
 // the ring in order, cheap enough to leave on in production. The design
 // rules mirror telemetry's:
