@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet test race bench-test bench bench-smoke cover \
+.PHONY: check build vet test race bench-test bench-e2e bench bench-smoke cover \
 	fuzz-smoke accuracy accuracy-sync accuracy-parallel accuracy-stream
 
 # check is the tier-1 gate: build, vet, the full test suite, the test
@@ -36,6 +36,15 @@ race:
 # of the supervisor's drain loop drifts from core, replay or fleet.
 bench-test:
 	$(GO) -C bench test .
+
+# bench-e2e runs the benchmark the way BENCHMARK.json declares it: every
+# workload at full size, end-to-end and traced passes, with every served
+# outcome checked against an in-process replay (~2-3 min on 2 CPUs). It
+# exits non-zero on any correctness error. Run it on the final tree of any
+# change to a package bench/ imports. It stays out of check and CI because
+# apache-recover's generator-lag check depends on the host's load.
+bench-e2e:
+	bash bench/run.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -112,12 +112,13 @@ type extState struct {
 	objects    map[vmem.Addr]*Object // by user address; live and delay-freed
 	delayQ     []vmem.Addr           // FIFO of delay-freed user addresses
 	delayBytes uint64
-	freed      map[vmem.Addr]callsite.ID // first-free site of recently freed addrs
-	freedOrder []vmem.Addr               // FIFO cap for freed
-	padded     []vmem.Addr               // live canary-padded objects (scan registry)
-	protected  []vmem.Addr               // sensitive-region objects (eager-validation registry)
-	marks      []markRange               // Phase-1 heap-marking regions
-	metaBytes  uint64                    // current metadata+padding overhead
+	freed      map[vmem.Addr]freedSite // free site of recently freed addrs
+	freedOrder []vmem.Addr             // FIFO cap for freed, oldest first
+	freedSeq   uint32                  // stamp of the latest free remembered
+	padded     []vmem.Addr             // live canary-padded objects (scan registry)
+	protected  []vmem.Addr             // sensitive-region objects (eager-validation registry)
+	marks      []markRange             // Phase-1 heap-marking regions
+	metaBytes  uint64                  // current metadata+padding overhead
 	metaPeak   uint64
 	padBytes   uint64 // current padding bytes (live + delayed objects)
 	padPeak    uint64 // peak concurrent padding bytes (Table 5)
@@ -125,10 +126,20 @@ type extState struct {
 
 const freedCap = 4096
 
+// freedSite is a freed entry: the free site and the stamp of the free,
+// which is also its FIFO slot's stamp. Every remembered free appends one
+// slot, so slot i holds stamp freedSeq-len(freedOrder)+1+i and the FIFO
+// stores no stamps. Once the address is reallocated and freed again, its
+// older slots are stale: popping one leaves the newer entry in place.
+type freedSite struct {
+	site callsite.ID
+	seq  uint32
+}
+
 func newExtState() extState {
 	return extState{
 		objects: make(map[vmem.Addr]*Object),
-		freed:   make(map[vmem.Addr]callsite.ID),
+		freed:   make(map[vmem.Addr]freedSite),
 	}
 }
 
@@ -138,8 +149,9 @@ func (s *extState) clone() extState {
 		objects:    make(map[vmem.Addr]*Object, len(s.objects)),
 		delayQ:     append([]vmem.Addr(nil), s.delayQ...),
 		delayBytes: s.delayBytes,
-		freed:      make(map[vmem.Addr]callsite.ID, len(s.freed)),
+		freed:      make(map[vmem.Addr]freedSite, len(s.freed)),
 		freedOrder: append([]vmem.Addr(nil), s.freedOrder...),
+		freedSeq:   s.freedSeq,
 		padded:     append([]vmem.Addr(nil), s.padded...),
 		protected:  append([]vmem.Addr(nil), s.protected...),
 		marks:      append([]markRange(nil), s.marks...),
@@ -679,7 +691,8 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 	if !ok {
 		// Not a live object: double free of a fully-recycled pointer,
 		// or a wild free.
-		if first, wasFreed := e.s.freed[ptr]; wasFreed {
+		if rec, wasFreed := e.s.freed[ptr]; wasFreed {
+			first := rec.site
 			// The patch application point is the *first* deallocation
 			// site — the premature free that characterises the
 			// bug-triggering objects; delaying there keeps the object
@@ -834,14 +847,15 @@ func (e *Ext) recordBlockedRefree(ptr vmem.Addr, site callsite.ID) {
 }
 
 func (e *Ext) rememberFreed(ptr vmem.Addr, site callsite.ID) {
-	if _, dup := e.s.freed[ptr]; !dup {
-		e.s.freedOrder = append(e.s.freedOrder, ptr)
-	}
-	e.s.freed[ptr] = site
+	e.s.freedSeq++
+	e.s.freed[ptr] = freedSite{site: site, seq: e.s.freedSeq}
+	e.s.freedOrder = append(e.s.freedOrder, ptr)
 	for len(e.s.freedOrder) > freedCap {
-		old := e.s.freedOrder[0]
+		old, seq := e.s.freedOrder[0], e.s.freedSeq-uint32(len(e.s.freedOrder))+1
 		e.s.freedOrder = e.s.freedOrder[1:]
-		delete(e.s.freed, old)
+		if e.s.freed[old].seq == seq {
+			delete(e.s.freed, old)
+		}
 	}
 }
 

@@ -251,6 +251,36 @@ func TestUnprotectedDoubleFreeCrashes(t *testing.T) {
 	}
 }
 
+// TestDoubleFreeOfHotAddressManifests: an address recycled by thousands of
+// malloc/free pairs stays remembered as freed once the freed FIFO has
+// wrapped, so a double free of it still manifests at its free site.
+func TestDoubleFreeOfHotAddressManifests(t *testing.T) {
+	f := newFixture(t)
+	hot, _ := f.ext.Malloc(32, f.site)
+	if err := f.ext.Free(hot, f.site2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		a, err := f.ext.Malloc(32, f.site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != hot {
+			t.Fatalf("malloc %d returned %#x, want the recycled %#x", i, a, hot)
+		}
+		if err := f.ext.Free(a, f.site2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(f.ext.s.freedOrder); n > freedCap {
+		t.Fatalf("freed FIFO holds %d entries, cap %d", n, freedCap)
+	}
+	f.ext.Free(hot, f.site) // unprotected: the raw allocator faults
+	if sites := f.ext.Manifests().Sites(mmbug.DoubleFree); len(sites) != 1 || sites[0] != f.site2 {
+		t.Fatalf("double free of a hot address manifested at sites %v, want [%d]", sites, f.site2)
+	}
+}
+
 func TestZeroFillPreventsUninitRead(t *testing.T) {
 	f := newFixture(t)
 	f.ext.SetMode(ModeDiagnostic)

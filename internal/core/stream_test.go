@@ -31,23 +31,18 @@ func TestStreamingMatchesOfflineRun(t *testing.T) {
 				t.Fatalf("workload did not trigger the bug offline: %+v", offStats)
 			}
 
-			// Streaming run: same events, delivered live over a channel.
+			// Streaming run: same events, ingested live one at a time.
 			liveProg, _ := apps.New(name)
 			live := NewSupervisor(liveProg, replay.NewLog(), Config{})
-			src := make(chan replay.Event)
-			go func() {
-				defer close(src)
-				feed := workload.Clone()
-				for {
-					ev, ok := feed.Next()
-					if !ok {
-						return
-					}
-					src <- ev
-				}
-			}()
 			var results []IngestResult
-			liveStats := live.Serve(src, func(r IngestResult) { results = append(results, r) })
+			for feed := workload.Clone(); ; {
+				ev, ok := feed.Next()
+				if !ok {
+					break
+				}
+				results = append(results, live.Ingest(ev.Kind, ev.Data, ev.N))
+			}
+			liveStats := live.Finish()
 
 			// Outcomes must be identical. Simulated elapsed time is not:
 			// offline recovery re-executes events past the failure point
@@ -60,7 +55,7 @@ func TestStreamingMatchesOfflineRun(t *testing.T) {
 				t.Fatalf("streaming diverged from offline:\nlive:    %+v\noffline: %+v", liveStats, offStats)
 			}
 			if len(results) != workload.Len() {
-				t.Fatalf("sink saw %d results for %d events", len(results), workload.Len())
+				t.Fatalf("ingest returned %d results for %d events", len(results), workload.Len())
 			}
 
 			// Per-event attribution must sum to the run totals.
@@ -121,7 +116,7 @@ func TestIngestAttributesFailureToTriggeringEvent(t *testing.T) {
 		if !ok {
 			break
 		}
-		r := sup.IngestEvent(ev)
+		r := sup.Ingest(ev.Kind, ev.Data, ev.N)
 		if r.Failed {
 			if !r.Recovered && !r.Skipped {
 				t.Fatalf("event %d failed but was neither recovered nor skipped: %+v", r.Seq, r)
@@ -159,7 +154,7 @@ func TestIngestSkipsUndiagnosableEvent(t *testing.T) {
 		if !ok {
 			break
 		}
-		r := sup.IngestEvent(ev)
+		r := sup.Ingest(ev.Kind, ev.Data, ev.N)
 		if r.Skipped {
 			skips++
 			if !r.Failed {

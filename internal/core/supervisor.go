@@ -116,7 +116,7 @@ type Supervisor struct {
 	Recoveries []*Recovery
 
 	ldg       *ledger.Ledger
-	streaming bool // an Ingest/resolve has run: recoveries are "stream" mode
+	streaming bool // an Ingest or IngestBatch has run: recoveries are "stream" mode
 
 	// spec races diagnosis probes on clones minted by host; both are nil
 	// when speculation is off.
@@ -257,11 +257,11 @@ func (s *Supervisor) Run() Stats {
 	return s.Finish()
 }
 
-// drain processes events until the log cursor reaches the tail, recovering
-// from failures as they occur. It is the shared main loop of offline Run
-// (the whole log is the tail) and streaming Ingest (the tail advances one
-// event at a time); a recovery rewinds the cursor, so the loop naturally
-// re-executes up to the tail before returning.
+// drain processes events until the log cursor reaches the visible tail,
+// recovering from failures as they occur. It is the shared main loop of
+// offline Run (the whole log is the tail) and streaming ingest (the fence
+// advances one event at a time); a recovery rewinds the cursor, so the
+// loop naturally re-executes up to the tail before returning.
 func (s *Supervisor) drain() {
 	for {
 		s.collectValidations(false)
@@ -334,55 +334,23 @@ type IngestResult struct {
 }
 
 // Ingest records one live event into the replay log and processes it
-// immediately — the streaming counterpart of Run. The front-end calling
-// Ingest is the paper's network input recorder: because the event is
-// appended before execution, checkpoint/rollback/diagnosis replay it
-// exactly as a pre-recorded input, and the accumulated log re-runs
-// offline with identical results. On a failure the full recovery cycle
-// (including re-execution back to the tail, retries, and the skip
-// fallback) completes before Ingest returns.
+// immediately — the streaming counterpart of Run, and IngestBatch of one
+// event. The front-end calling Ingest is the paper's network input
+// recorder: because the event is appended before execution,
+// checkpoint/rollback/diagnosis replay it exactly as a pre-recorded input,
+// and the accumulated log re-runs offline with identical results. On a
+// failure the full recovery cycle (including re-execution back to the
+// tail, retries, and the skip fallback) completes before Ingest returns.
 func (s *Supervisor) Ingest(kind, data string, n int) IngestResult {
-	return s.resolve(s.M.Log.Append(kind, data, n))
-}
-
-// IngestEvent is Ingest for an already-built event (its Seq is reassigned
-// by the recorder).
-func (s *Supervisor) IngestEvent(ev replay.Event) IngestResult {
-	return s.resolve(s.M.Log.AppendEvent(ev))
-}
-
-// resolve drains the log to the tail and attributes everything that
-// happened — faults, recoveries, skips, simulated time — to the event at
-// seq, the only event that entered the system since the last drain.
-func (s *Supervisor) resolve(seq int) IngestResult {
-	s.streaming = true
-	failures0 := s.failures
-	recov0 := len(s.Recoveries)
-	sim0 := s.M.SimNow()
-	s.M.TraceEmitter().Emit(trace.KEventBegin, uint64(seq), 0)
-	s.drain()
-	res := IngestResult{
-		Seq:       seq,
-		Failures:  s.failures - failures0,
-		SimCycles: s.M.SimNow() - sim0,
+	br := s.ingest(s.M.Log.Append(kind, data, n), 1)
+	return IngestResult{
+		Seq:       br.First,
+		Failed:    br.Failures > 0,
+		Recovered: br.Recoveries > 0,
+		Skipped:   br.Skipped > 0,
+		Failures:  br.Failures,
+		SimCycles: br.SimCycles,
 	}
-	res.Failed = res.Failures > 0
-	for _, rec := range s.Recoveries[recov0:] {
-		if rec.Skipped {
-			res.Skipped = true
-		} else {
-			res.Recovered = true
-		}
-	}
-	outcome := uint64(trace.OutcomeOK)
-	switch {
-	case res.Skipped:
-		outcome = trace.OutcomeSkipped
-	case res.Recovered:
-		outcome = trace.OutcomeRecovered
-	}
-	s.M.TraceEmitter().Emit(trace.KEventEnd, uint64(seq), outcome)
-	return res
 }
 
 // BatchResult reports how one ingested batch was resolved. Counts are
@@ -402,28 +370,36 @@ type BatchResult struct {
 // then executes them — the amortized counterpart of calling Ingest once
 // per event, with identical observable behavior. Record-before-execute
 // covers the full batch: every event is durable in the log before the
-// first one runs. To keep recovery semantics byte-identical to serial
-// ingest, the log's visibility fence is advanced one event at a time, so a
-// failure inside the batch re-executes against exactly the tail a serial
-// run would have had — later batch events are recorded but not yet
-// visible to rollback re-execution, validation, or the skip fallback.
-// Per-event KEventBegin/End trace records are replaced by one
-// KBatchBegin/End pair.
+// first one runs.
 func (s *Supervisor) IngestBatch(items []replay.Item) BatchResult {
+	return s.ingest(s.M.Log.AppendBatch(items), len(items))
+}
+
+// ingest executes the n events recorded from seq first on, and attributes
+// everything that happened meanwhile — faults, recoveries, skips,
+// simulated time — to them; it is the one implementation behind Ingest and
+// IngestBatch. To keep recovery semantics byte-identical to serial
+// ingest, the log's visibility fence is advanced one event at a time, so a
+// failure inside a batch re-executes against exactly the tail a serial
+// run would have had — later batch events are recorded but not yet
+// visible to rollback re-execution, validation, or the skip fallback. For
+// a single event the fence is the tail. One KBatchBegin/End trace pair
+// brackets the call.
+func (s *Supervisor) ingest(first, n int) BatchResult {
 	s.streaming = true
-	first := s.M.Log.AppendBatch(items)
-	res := BatchResult{First: first, Events: len(items)}
-	if len(items) == 0 {
+	res := BatchResult{First: first, Events: n}
+	if n == 0 {
 		return res
 	}
 	failures0, recov0, sim0 := s.failures, len(s.Recoveries), s.M.SimNow()
-	s.M.TraceEmitter().Emit(trace.KBatchBegin, uint64(first), uint64(len(items)))
-	for seq := first; seq < first+len(items); seq++ {
+	em := s.M.TraceEmitter()
+	em.Emit(trace.KBatchBegin, uint64(first), uint64(n))
+	for seq := first; seq < first+n; seq++ {
 		s.M.Log.SetFence(seq + 1)
 		s.drain()
 	}
 	s.M.Log.ClearFence()
-	s.M.TraceEmitter().Emit(trace.KBatchEnd, uint64(first), uint64(len(items)))
+	em.Emit(trace.KBatchEnd, uint64(first), uint64(n))
 	res.Failures = s.failures - failures0
 	res.SimCycles = s.M.SimNow() - sim0
 	for _, rec := range s.Recoveries[recov0:] {
@@ -434,20 +410,6 @@ func (s *Supervisor) IngestBatch(items []replay.Item) BatchResult {
 		}
 	}
 	return res
-}
-
-// Serve consumes live events from src until it is closed, recording each
-// into the replay log and processing it immediately. Per-event outcomes are
-// delivered to sink when non-nil. Returns the final statistics (pending
-// parallel validations are collected first).
-func (s *Supervisor) Serve(src <-chan replay.Event, sink func(IngestResult)) Stats {
-	for ev := range src {
-		r := s.IngestEvent(ev)
-		if sink != nil {
-			sink(r)
-		}
-	}
-	return s.Finish()
 }
 
 // Log returns the supervisor's input log — under streaming supervision,

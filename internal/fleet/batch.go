@@ -1,24 +1,26 @@
-// Batched ingest: the high-throughput half of the serving path. Clients
-// pack N events into one length-prefixed binary request (POST
-// /events/batch); the front-end decodes it zero-copy — every field is a
-// byte-slice view into the request body — splits it by sticky source hash
-// into per-worker sub-batches, and each worker records and executes its
-// share through core.IngestBatch's arena-backed, fence-ordered path.
-// Telemetry, trace and channel traffic are amortized to once per
-// sub-batch, so the steady-state cost of an event is its decode bytes, a
-// memcpy into the log arena, and its execution — no allocations, no JSON,
-// no per-event channel operations.
+// Batched ingest: the one ingest path of the fleet. Clients pack N events
+// into one length-prefixed binary request (POST /events/batch); the
+// front-end decodes it zero-copy — every field is a byte-slice view into
+// the request body — splits it by dispatch mode into per-worker shares,
+// and each worker records and executes its share through
+// core.IngestBatch's arena-backed, fence-ordered path. A JSON POST /events
+// is a batch of one on the same path (Fleet.Do). Telemetry, trace and
+// channel traffic are amortized to once per share, so the steady-state
+// cost of an event is its decode bytes, a memcpy into the log arena, and
+// its execution — no allocations, no JSON, no per-event channel
+// operations.
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"firstaid/internal/replay"
-	"firstaid/internal/trace"
 )
 
 // Batch wire format v1, versioned alongside the chaos v2 scenario codec.
@@ -35,6 +37,11 @@ import (
 //
 // Nothing may follow the last event: trailing bytes mean a corrupt or
 // mis-framed request, and the whole batch is rejected (all-or-nothing).
+//
+// The varints are not canonical: an overlong encoding (0x80 0x00 for 0)
+// decodes like the minimal one, so one batch has many valid frames. A
+// frame's identity is its decoded items; never hash, deduplicate or
+// compare frame bytes.
 var batchMagic = [4]byte{'F', 'A', 'B', 0x01}
 
 // MaxBatchEvents bounds the events one wire batch may carry; a count
@@ -148,17 +155,19 @@ func DecodeBatch(buf []byte, dst []BatchItem) ([]BatchItem, error) {
 
 // WorkerBatch is one worker's share of a batch outcome.
 type WorkerBatch struct {
-	Worker    int `json:"worker"`
-	First     int `json:"first"`  // sequence of the share's first event in the worker's log
-	Events    int `json:"events"` // events in the share
-	Failures  int `json:"failures"`
-	Recovered int `json:"recovered"`
-	Skipped   int `json:"skipped"`
+	Worker    int  `json:"worker"`
+	First     int  `json:"first"`  // sequence of the share's first event in the worker's log
+	Events    int  `json:"events"` // events in the share
+	Failures  int  `json:"failures"`
+	Recovered int  `json:"recovered"` // recovery cycles completed
+	Skipped   int  `json:"skipped"`
+	Rerouted  bool `json:"rerouted,omitempty"` // served off its primary worker
 }
 
 // BatchResult is the outcome of one batch: aggregate counts plus the
-// per-worker shares (ordered by worker index; workers with no share are
-// omitted).
+// per-worker shares, ordered by worker index (a worker that took a
+// re-routed share besides its own appears twice; workers with no share
+// are omitted).
 type BatchResult struct {
 	Events    int           `json:"events"`
 	Failures  int           `json:"failures"`
@@ -168,18 +177,19 @@ type BatchResult struct {
 	Workers   []WorkerBatch `json:"workers,omitempty"`
 }
 
-// batchJob is one worker's sub-batch in flight: the items to ingest and
-// the channel the outcome comes back on (sized for the whole batch's
-// jobs, so the worker's send never blocks).
+// batchJob is one worker's share in flight: the items to ingest, whether
+// it was re-routed off its primary, and the channel the outcome comes back
+// on (sized for the whole batch's shares, so the worker's send never
+// blocks).
 type batchJob struct {
-	items []replay.Item
-	out   chan<- WorkerBatch
+	items    []replay.Item
+	rerouted bool
+	out      chan<- WorkerBatch
 }
 
 // batchScratch recycles DoBatch's fan-out state across calls.
 type batchScratch struct {
-	per [][]replay.Item // per-worker split, indexed by worker
-	by  []WorkerBatch   // per-worker outcomes, indexed by worker
+	per [][]replay.Item // per-worker split, indexed by primary worker
 	out chan WorkerBatch
 }
 
@@ -189,8 +199,8 @@ var scratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // Items are split by the dispatch mode — HashBySource pins each item to
 // its source's sticky worker, preserving per-source order; RoundRobin
 // deals contiguous chunks starting at the rotor — and each non-empty
-// share is ingested by its worker as one unit. A full batch inbox blocks
-// the submitter (backpressure, never a drop), like per-event submission.
+// share is placed on an inbox (see place) and ingested by its worker as
+// one unit.
 func (f *Fleet) DoBatch(items []BatchItem) (BatchResult, error) {
 	f.closeMu.RLock()
 	defer f.closeMu.RUnlock()
@@ -208,7 +218,6 @@ func (f *Fleet) DoBatch(items []BatchItem) (BatchResult, error) {
 	sc := scratchPool.Get().(*batchScratch)
 	if len(sc.per) < n {
 		sc.per = make([][]replay.Item, n)
-		sc.by = make([]WorkerBatch, n)
 		sc.out = make(chan WorkerBatch, n)
 	}
 	per := sc.per[:n]
@@ -235,32 +244,23 @@ func (f *Fleet) DoBatch(items []BatchItem) (BatchResult, error) {
 
 	jobs := 0
 	for w := 0; w < n; w++ {
-		if len(per[w]) == 0 {
-			continue
+		if len(per[w]) > 0 {
+			jobs++
+			f.place(w, batchJob{items: per[w], out: sc.out})
 		}
-		jobs++
-		job := batchJob{items: per[w], out: sc.out}
-		select {
-		case f.workers[w].batches <- job:
-		default:
-			f.met.blocked.Inc()
-			f.workers[w].batches <- job
-		}
-		f.em.Emit(trace.KDispatch, uint64(w), uint64(len(f.workers[w].batches)))
 	}
-	by := sc.by[:n]
+	res.Workers = make([]WorkerBatch, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		wb := <-sc.out
-		by[wb.Worker] = wb
+		res.Failures += wb.Failures
+		res.Recovered += wb.Recovered
+		res.Skipped += wb.Skipped
+		res.Workers = append(res.Workers, wb)
 	}
-	for w := 0; w < n; w++ {
-		if len(per[w]) == 0 {
-			continue
-		}
-		res.Failures += by[w].Failures
-		res.Recovered += by[w].Recovered
-		res.Skipped += by[w].Skipped
-		res.Workers = append(res.Workers, by[w])
+	slices.SortFunc(res.Workers, func(a, b WorkerBatch) int {
+		return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.First, b.First))
+	})
+	for w := range per {
 		per[w] = per[w][:0]
 	}
 	res.LatencyUS = time.Since(enq).Microseconds()
@@ -269,9 +269,8 @@ func (f *Fleet) DoBatch(items []BatchItem) (BatchResult, error) {
 	return res, nil
 }
 
-// serveBatch ingests one sub-batch on the worker goroutine: one supervisor
-// call, one telemetry update, one outcome send — the per-event loop's
-// bookkeeping amortized over the share.
+// serveBatch ingests one share on the worker goroutine: one supervisor
+// call, one telemetry update, one outcome send.
 func (w *worker) serveBatch(f *Fleet, bq batchJob) {
 	w.busy.Store(true)
 	t0 := time.Now()
@@ -293,5 +292,6 @@ func (w *worker) serveBatch(f *Fleet, bq batchJob) {
 		Failures:  br.Failures,
 		Recovered: br.Recoveries,
 		Skipped:   br.Skipped,
+		Rerouted:  bq.rerouted,
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"firstaid/internal/app"
 )
@@ -85,6 +86,60 @@ func TestBatchDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeBatch(overCount, nil); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("count overflow: err = %v, want ErrBatchTooLarge", err)
+	}
+}
+
+// TestDoBatchReroutesRoundRobinShare: a round-robin batch share whose
+// primary inbox is full re-routes to the next worker with space, like a
+// single request, instead of blocking on its primary. The re-routed share
+// lands on a worker that holds the batch's other share too, so the result
+// lists that worker twice.
+func TestDoBatchReroutesRoundRobinShare(t *testing.T) {
+	gate := make(chan struct{})
+	f := New(func() app.Program { return &notesvc{gate: gate} },
+		Config{Workers: 2, QueueDepth: 1, Dispatch: RoundRobin})
+	defer func() {
+		close(gate)
+		f.Close()
+	}()
+	one := func(kind, data string) []BatchItem {
+		return []BatchItem{{Kind: []byte(kind), Data: []byte(data)}}
+	}
+
+	// Each one-item batch takes one rotor step: primaries 0, 1, 0, 1.
+	goBatch(t, f, one("gate", "")) // worker 0, parked
+	waitBusy(t, f, 0)
+	if _, err := f.DoBatch(one("note", "clean")); err != nil {
+		t.Fatal(err)
+	}
+	goBatch(t, f, one("note", "queued")) // worker 0's inbox, now full
+	if _, err := f.DoBatch(one("note", "clean")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rotor 4 deals item a to worker 0 (full: re-routes to worker 1) and
+	// item b to worker 1.
+	done := make(chan BatchResult, 1)
+	go func() {
+		res, err := f.DoBatch(append(one("note", "a"), one("note", "b")...))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res BatchResult
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a round-robin share blocked on its full primary inbox")
+	}
+	ws := res.Workers
+	if res.Events != 2 || len(ws) != 2 || ws[0].Worker != 1 || ws[1].Worker != 1 ||
+		!ws[0].Rerouted || ws[1].Rerouted || ws[0].First >= ws[1].First {
+		t.Fatalf("result %+v: want share a re-routed to worker 1, then share b there", res)
+	}
+	if got := f.met.rerouted.Value(); got != 1 {
+		t.Fatalf("fleet.rerouted = %d, want 1", got)
 	}
 }
 

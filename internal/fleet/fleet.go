@@ -12,19 +12,21 @@
 // counter on the allocation fast path and pick the new patches up before
 // their own first trigger.
 //
-// Dispatch is round-robin or sticky-by-source over bounded per-worker
-// inboxes. Degradation is explicit and lossless: while a worker is
-// mid-recovery its inbox fills; round-robin traffic re-routes to workers
-// with space, sticky traffic queues (preserving per-source order), and
-// when every inbox is full the submitter blocks — backpressure, never a
-// silent drop. Every accepted request gets exactly one Result.
+// Every submission is a batch: a JSON request is a batch of one. Dispatch
+// splits a batch into per-worker shares, round-robin or sticky-by-source,
+// and queues each share on its worker's one bounded inbox, which the worker
+// drains in order. Degradation is explicit and lossless: while a worker is
+// mid-recovery its inbox fills; a round-robin share re-routes to the next
+// worker with space, a sticky share queues (preserving per-source order),
+// and when every inbox a share may use is full the submitter blocks —
+// backpressure, never a silent drop. Every accepted request gets exactly
+// one result.
 package fleet
 
 import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"firstaid/internal/app"
 	"firstaid/internal/core"
@@ -41,7 +43,7 @@ type Dispatch int
 
 const (
 	// RoundRobin spreads requests evenly; a full inbox re-routes the
-	// request to the next worker with space.
+	// share to the next worker with space.
 	RoundRobin Dispatch = iota
 	// HashBySource pins each request source to one worker (sticky
 	// load-balancing), preserving per-source event order; a full inbox
@@ -115,8 +117,8 @@ type Result struct {
 type Stats struct {
 	Workers   int
 	Requests  uint64     // completed requests
-	Rerouted  uint64     // requests placed on a non-primary worker
-	Blocked   uint64     // submissions that found every (or the sticky) inbox full
+	Rerouted  uint64     // shares placed on a non-primary worker
+	Blocked   uint64     // shares that found every inbox they may use full
 	Core      core.Stats // merged across workers
 	PerWorker []core.Stats
 	// ActivePatches is the shared pool's non-revoked patch count.
@@ -165,21 +167,13 @@ type fleetMetrics struct {
 type worker struct {
 	id        int
 	sup       *core.Supervisor
-	inbox     chan *request
-	batches   chan batchJob
+	inbox     chan batchJob
 	reg       *telemetry.Registry
 	processed atomic.Int64
 	busy      atomic.Bool
 	started   atomic.Bool   // the serving goroutine is running
 	lastClock atomic.Uint64 // simulated clock after the last ingested event
 	stats     core.Stats    // final, set when the inbox drains after Close
-}
-
-type request struct {
-	req      Request
-	rerouted bool
-	enq      time.Time
-	done     chan Result
 }
 
 // New builds and starts a fleet. newProg is called once per worker so each
@@ -225,12 +219,7 @@ func New(newProg func() app.Program, cfg Config) *Fleet {
 		scfg.Machine.Metrics = wreg
 		scfg.Machine.Trace = f.trc
 		scfg.Machine.TraceWorker = i
-		w := &worker{
-			id:      i,
-			inbox:   make(chan *request, cfg.QueueDepth),
-			batches: make(chan batchJob, cfg.QueueDepth),
-			reg:     wreg,
-		}
+		w := &worker{id: i, inbox: make(chan batchJob, cfg.QueueDepth), reg: wreg}
 		w.sup = core.NewSupervisor(prog, replay.NewLog(), scfg)
 		f.workers = append(f.workers, w)
 	}
@@ -247,130 +236,65 @@ func New(newProg func() app.Program, cfg Config) *Fleet {
 // loop is a worker's serving goroutine: it owns the supervisor exclusively,
 // so all machine state stays single-threaded; the only cross-worker
 // contact is the locked patch pool and the atomic telemetry instruments.
-// Per-event and batch submissions drain from separate bounded inboxes
-// (batches would otherwise starve behind a deep per-event queue and vice
-// versa); within each inbox, order is preserved.
+// Shares are served in inbox order, so the worker records each source's
+// requests in the order the fleet accepted them.
 func (w *worker) loop(f *Fleet) {
 	defer f.wg.Done()
 	w.started.Store(true)
-	inbox, batches := w.inbox, w.batches
-	for inbox != nil || batches != nil {
-		select {
-		case rq, ok := <-inbox:
-			if !ok {
-				inbox = nil
-				continue
-			}
-			w.serve(f, rq)
-		case bq, ok := <-batches:
-			if !ok {
-				batches = nil
-				continue
-			}
-			w.serveBatch(f, bq)
-		}
+	for job := range w.inbox {
+		w.serveBatch(f, job)
 	}
 	w.stats = w.sup.Finish()
 }
 
-// serve ingests one per-event submission on the worker goroutine.
-func (w *worker) serve(f *Fleet, rq *request) {
-	w.busy.Store(true)
-	t0 := time.Now()
-	ir := w.sup.Ingest(rq.req.Kind, rq.req.Data, rq.req.N)
-	ingest := time.Since(t0)
-	w.lastClock.Store(w.sup.M.SimNow())
-	w.busy.Store(false)
-	w.processed.Add(1)
-
-	res := Result{
-		Worker:    w.id,
-		Seq:       ir.Seq,
-		Failed:    ir.Failed,
-		Recovered: ir.Recovered,
-		Skipped:   ir.Skipped,
-		Rerouted:  rq.rerouted,
-		LatencyUS: time.Since(rq.enq).Microseconds(),
-	}
-	f.met.ingestUS.Observe(uint64(ingest.Microseconds()))
-	f.met.latencyUS.Observe(uint64(res.LatencyUS))
-	f.met.completed.Inc()
-	f.met.failures.Add(uint64(ir.Failures))
-	if ir.Recovered {
-		f.met.recoveries.Inc()
-	}
-	if ir.Skipped {
-		f.met.skipped.Inc()
-	}
-	rq.done <- res
-}
-
-// Go submits a request and returns a channel carrying its Result (buffered:
-// the worker never blocks on delivery, the caller may collect late). The
-// submission itself may block when inboxes are full — that is the fleet's
-// backpressure; it never drops.
-func (f *Fleet) Go(req Request) (<-chan Result, error) {
-	f.closeMu.RLock()
-	defer f.closeMu.RUnlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
-	rq := &request{req: req, enq: time.Now(), done: make(chan Result, 1)}
-	f.met.submitted.Inc()
-	f.dispatch(rq)
-	return rq.done, nil
-}
-
-// Do submits a request and waits for its Result.
+// Do submits one request as a batch of one and waits for its Result.
 func (f *Fleet) Do(req Request) (Result, error) {
-	ch, err := f.Go(req)
+	br, err := f.DoBatch([]BatchItem{{
+		Kind: []byte(req.Kind), Data: []byte(req.Data), Src: []byte(req.Src), N: req.N,
+	}})
 	if err != nil {
 		return Result{}, err
 	}
-	return <-ch, nil
+	wb := br.Workers[0]
+	return Result{
+		Worker:    wb.Worker,
+		Seq:       wb.First,
+		Failed:    wb.Failures > 0,
+		Recovered: wb.Recovered > 0,
+		Skipped:   wb.Skipped > 0,
+		Rerouted:  wb.Rerouted,
+		LatencyUS: br.LatencyUS,
+	}, nil
 }
 
-// dispatch places the request on a worker inbox according to the dispatch
-// mode. See the package comment for the degradation rules.
-func (f *Fleet) dispatch(rq *request) {
-	n := len(f.workers)
-	switch f.cfg.Dispatch {
-	case HashBySource:
-		w := f.workers[f.workerFor(rq.req)]
-		select {
-		case w.inbox <- rq:
-			f.em.Emit(trace.KDispatch, uint64(w.id), uint64(len(w.inbox)))
-		default:
-			// Sticky traffic queues on its worker — re-routing would
-			// split one source's recorded stream across machines.
-			f.met.blocked.Inc()
-			w.inbox <- rq
-			f.em.Emit(trace.KDispatch, uint64(w.id), uint64(len(w.inbox)))
-		}
-	default: // RoundRobin
-		start := int(f.rr.Add(1)-1) % n
-		for i := 0; i < n; i++ {
-			w := f.workers[(start+i)%n]
-			// Flag before the send attempt: once the send succeeds the
-			// worker owns rq, and the channel gives the write its
-			// happens-before edge.
-			rq.rerouted = i > 0
-			select {
-			case w.inbox <- rq:
-				if i > 0 {
-					f.met.rerouted.Inc()
-				}
-				f.em.Emit(trace.KDispatch, uint64(w.id), uint64(len(w.inbox)))
-				return
-			default:
-			}
-		}
-		// Every inbox full: block on the primary — backpressure.
-		rq.rerouted = false
-		f.met.blocked.Inc()
-		f.workers[start].inbox <- rq
-		f.em.Emit(trace.KDispatch, uint64(start), uint64(len(f.workers[start].inbox)))
+// place queues one share on a worker inbox by the dispatch mode; see the
+// package comment for the degradation rules. A sticky share only ever
+// tries its primary (re-routing would split one source's recorded stream
+// across machines); a round-robin share tries every worker from its
+// primary on. When none has space, the submitter blocks on the primary.
+func (f *Fleet) place(primary int, job batchJob) {
+	tries := 1
+	if f.cfg.Dispatch == RoundRobin {
+		tries = len(f.workers)
 	}
+	for i := 0; i < tries; i++ {
+		w := f.workers[(primary+i)%len(f.workers)]
+		job.rerouted = i > 0
+		select {
+		case w.inbox <- job:
+			if job.rerouted {
+				f.met.rerouted.Inc()
+			}
+			f.em.Emit(trace.KDispatch, uint64(w.id), uint64(len(w.inbox)))
+			return
+		default:
+		}
+	}
+	job.rerouted = false
+	f.met.blocked.Inc()
+	w := f.workers[primary]
+	w.inbox <- job
+	f.em.Emit(trace.KDispatch, uint64(w.id), uint64(len(w.inbox)))
 }
 
 // FNV-1a, inlined so the dispatch hot path neither allocates a hasher nor
@@ -379,15 +303,6 @@ const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
-
-func fnv32a(key string) uint32 {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= fnvPrime32
-	}
-	return h
-}
 
 func fnv32aBytes(key []byte) uint32 {
 	h := uint32(fnvOffset32)
@@ -398,18 +313,8 @@ func fnv32aBytes(key []byte) uint32 {
 	return h
 }
 
-// workerFor returns the sticky worker index for a request.
-func (f *Fleet) workerFor(req Request) int {
-	key := req.Src
-	if key == "" {
-		key = req.Data
-	}
-	return int(fnv32a(key) % uint32(len(f.workers)))
-}
-
-// workerForKey is workerFor over a decoded batch item's byte views; the
-// same hash over the same key bytes, so a source's batched and per-event
-// traffic land on the same worker.
+// workerForKey returns the sticky worker index for an item: the hash of
+// its source, or of its data when the source is empty.
 func (f *Fleet) workerForKey(src, data []byte) int {
 	key := src
 	if len(key) == 0 {
@@ -428,7 +333,6 @@ func (f *Fleet) Close() Stats {
 		f.closeMu.Unlock()
 		for _, w := range f.workers {
 			close(w.inbox)
-			close(w.batches)
 		}
 		f.wg.Wait()
 
@@ -504,8 +408,7 @@ func (f *Fleet) RecordedLog(i int) *replay.Log {
 // WorkerHealth is one worker's live state.
 type WorkerHealth struct {
 	ID        int   `json:"id"`
-	Inbox     int   `json:"inbox"`   // queued requests (degradation signal)
-	Batches   int   `json:"batches"` // queued batch jobs
+	Inbox     int   `json:"inbox"` // queued shares (degradation signal)
 	Busy      bool  `json:"busy"`
 	Processed int64 `json:"processed"`
 	// Ready: the serving goroutine is running and the inbox has spare
@@ -539,17 +442,15 @@ func (f *Fleet) Health() Health {
 	h := Health{Status: "ok", Ready: true, QueueDepth: f.cfg.QueueDepth, ActivePatches: len(f.pool.Active())}
 	for _, w := range f.workers {
 		depth := len(w.inbox)
-		bdepth := len(w.batches)
-		if depth >= f.cfg.QueueDepth || bdepth >= f.cfg.QueueDepth {
+		if depth >= f.cfg.QueueDepth {
 			h.Status = "degraded"
 		}
 		wh := WorkerHealth{
 			ID:             w.id,
 			Inbox:          depth,
-			Batches:        bdepth,
 			Busy:           w.busy.Load(),
 			Processed:      w.processed.Load(),
-			Ready:          w.started.Load() && depth < f.cfg.QueueDepth && bdepth < f.cfg.QueueDepth,
+			Ready:          w.started.Load() && depth < f.cfg.QueueDepth,
 			LastEventClock: w.lastClock.Load(),
 			InFlight:       f.ldg.InFlight(w.id),
 		}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"firstaid/internal/mmbug"
 	"firstaid/internal/proc"
 	"firstaid/internal/replay"
+	"firstaid/internal/trace"
 	"firstaid/internal/vmem"
 )
 
@@ -107,12 +109,59 @@ func srcForWorker(t *testing.T, f *Fleet, w int) string {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		src := fmt.Sprintf("client-%d", i)
-		if f.workerFor(Request{Src: src}) == w {
+		if f.workerForKey([]byte(src), nil) == w {
 			return src
 		}
 	}
 	t.Fatalf("no source hashes to worker %d", w)
 	return ""
+}
+
+// waitBusy waits until worker w is mid-event (parked on a gate).
+func waitBusy(t *testing.T, f *Fleet, w int) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		if f.workers[w].busy.Load() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("worker %d never picked up its gate event", w)
+}
+
+// queue runs submit on a goroutine and returns once the submission is
+// queued — a KDispatch record after the call's start is on the fleet's
+// trace — so successive calls take the dispatch rotor and the inboxes in
+// call order. The channel carries the submission's result. queue may run
+// off the test goroutine.
+func queue[R any](t *testing.T, f *Fleet, submit func() (R, error)) <-chan R {
+	mark := f.Trace().Emitted()
+	ch := make(chan R, 1)
+	go func() {
+		res, err := submit()
+		if err != nil {
+			t.Error(err)
+		}
+		ch <- res
+	}()
+	for i := 0; i < 10000; i++ {
+		for _, r := range f.Trace().Since(mark) {
+			if r.Kind == trace.KDispatch {
+				return ch
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("submission never queued (no dispatch record after trace seq %d)", mark)
+	return ch
+}
+
+func goDo(t *testing.T, f *Fleet, req Request) <-chan Result {
+	return queue(t, f, func() (Result, error) { return f.Do(req) })
+}
+
+func goBatch(t *testing.T, f *Fleet, items []BatchItem) <-chan BatchResult {
+	return queue(t, f, func() (BatchResult, error) { return f.DoBatch(items) })
 }
 
 // TestFleetSharesPatchesAcrossWorkers: the first worker to hit the overflow
@@ -182,27 +231,13 @@ func TestFleetBackpressureAndReroute(t *testing.T) {
 	var pending []<-chan Result
 	submit := func(req Request) {
 		t.Helper()
-		ch, err := f.Go(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending = append(pending, ch)
-	}
-	waitBusy := func(w int) {
-		t.Helper()
-		for i := 0; i < 2000; i++ {
-			if f.workers[w].busy.Load() {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("worker %d never picked up its gate event", w)
+		pending = append(pending, goDo(t, f, req))
 	}
 
 	// Submission k (1-indexed) starts its round-robin sweep at worker
 	// (k-1)%2. Park worker 0 on a gate and fill its one-slot inbox.
 	submit(Request{Kind: "gate"}) // #1 → worker 0, parked
-	waitBusy(0)
+	waitBusy(t, f, 0)
 	res, err := f.Do(note("clean", "")) // #2 → worker 1
 	if err != nil || res.Failed {
 		t.Fatalf("worker 1 note: %+v err=%v", res, err)
@@ -226,7 +261,7 @@ func TestFleetBackpressureAndReroute(t *testing.T) {
 	// Park worker 1 too, fill its inbox via re-route, then the next
 	// submission finds every inbox full and must block (backpressure).
 	submit(Request{Kind: "gate"}) // #6 → worker 1, parked
-	waitBusy(1)
+	waitBusy(t, f, 1)
 	submit(note("queued", "")) // #7 → worker 0 full → re-routed into worker 1's inbox
 
 	blockedDone := make(chan struct{})
@@ -355,5 +390,61 @@ func TestFleetClosedRejectsSubmissions(t *testing.T) {
 	// Close is idempotent and stable.
 	if st := f.Close(); st.Requests != 1 {
 		t.Fatalf("second Close changed stats: %+v", st)
+	}
+}
+
+// TestMixedTrafficKeepsSourceOrder: JSON events and batches from one
+// source share one inbox, so the worker records them in the order the
+// fleet accepted them — the order the network input recorder must keep
+// for a failure to replay.
+func TestMixedTrafficKeepsSourceOrder(t *testing.T) {
+	gate := make(chan struct{})
+	f := New(func() app.Program { return &notesvc{gate: gate} }, Config{
+		Workers:  1,
+		Dispatch: HashBySource,
+	})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer func() {
+		release()
+		f.Close()
+	}()
+	parked := goDo(t, f, Request{Kind: "gate", Src: "c0"})
+	waitBusy(t, f, 0)
+
+	want := []string{""} // the gate event
+	var events []<-chan Result
+	var batches []<-chan BatchResult
+	for i := 0; i < 20; i++ {
+		data := fmt.Sprintf("json %d", i)
+		events = append(events, goDo(t, f, note(data, "c0")))
+		want = append(want, data)
+		items := []BatchItem{
+			{Kind: []byte("note"), Data: []byte(fmt.Sprintf("batch %d a", i)), Src: []byte("c0")},
+			{Kind: []byte("note"), Data: []byte(fmt.Sprintf("batch %d b", i)), Src: []byte("c0")},
+		}
+		batches = append(batches, goBatch(t, f, items))
+		want = append(want, string(items[0].Data), string(items[1].Data))
+	}
+	release()
+	<-parked
+	for _, ch := range events {
+		if res := <-ch; res.Failed {
+			t.Fatalf("note failed: %+v", res)
+		}
+	}
+	for _, ch := range batches {
+		if res := <-ch; res.Failures != 0 {
+			t.Fatalf("batch failed: %+v", res)
+		}
+	}
+	f.Close()
+
+	log := f.RecordedLog(0)
+	var got []string
+	for ev, ok := log.Next(); ok; ev, ok = log.Next() {
+		got = append(got, ev.Data)
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("worker recorded\n  %q\nwant dispatch order\n  %q", got, want)
 	}
 }

@@ -186,7 +186,7 @@ func TestHTTPTraceFormats(t *testing.T) {
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !bytes.Contains(body, []byte("event-begin")) || !bytes.Contains(body, []byte("dispatch")) {
+	if !bytes.Contains(body, []byte("batch-begin")) || !bytes.Contains(body, []byte("dispatch")) {
 		t.Fatalf("text timeline missing ingest/dispatch records:\n%.500s", body)
 	}
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,14 +270,32 @@ func Load(r io.Reader) (*Pool, error) {
 	return pl, nil
 }
 
-// SaveFile writes the pool to path.
+// SaveFile writes the pool to path crash-safely: it writes and syncs a
+// temporary file in path's directory, then renames it over path. A reader,
+// or the next start after a crash or a failed write, sees the old pool or
+// the new one, never a torn file.
 func (pl *Pool) SaveFile(path string) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return pl.Save(f)
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = pl.Save(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // LoadFile reads a pool from path.

@@ -2,6 +2,7 @@ package patch
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,49 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if got.Len() != 1 || got.Active()[0].Bug != mmbug.DoubleFree {
 		t.Fatal("file round trip lost data")
+	}
+}
+
+// TestSaveFileReplacesWholeFile: saving over an existing pool file swaps
+// in a complete new file instead of rewriting the old one in place, so a
+// reader holding the old file still reads the complete old pool and no
+// temporary file is left behind.
+func TestSaveFileReplacesWholeFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pool.json")
+	old := NewPool("cvs")
+	old.Add(New(mmbug.DoubleFree, siteB))
+	if err := old.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	newer := NewPool("cvs")
+	newer.Add(New(mmbug.BufferOverflow, siteA))
+	newer.Add(New(mmbug.DanglingRead, siteB))
+	if err := newer.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(held)
+	if err != nil {
+		t.Fatalf("old descriptor: %v", err)
+	}
+	if got.Len() != 1 || got.Active()[0].Bug != mmbug.DoubleFree {
+		t.Fatalf("old descriptor reads %d patch(es), want the old pool's one double-free patch", got.Len())
+	}
+	if cur, err := LoadFile(path); err != nil || cur.Len() != 2 {
+		t.Fatalf("path holds %v (err %v), want the new pool", cur, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after saving, want only the pool file", len(entries))
 	}
 }
 

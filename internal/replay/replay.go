@@ -56,16 +56,6 @@ func (l *Log) Append(kind, data string, n int) int {
 	return seq
 }
 
-// AppendEvent records ev at the tail, reassigning its sequence number to
-// the tail position — the recorder primitive of streaming supervision:
-// events arriving from a live source are stamped into the rolling log
-// before execution, so every live run is replayable offline.
-func (l *Log) AppendEvent(ev Event) int {
-	ev.Seq = l.Len()
-	l.events = append(l.events, ev)
-	return ev.Seq
-}
-
 // visTail returns the absolute sequence bounding what Next/Peek may serve:
 // the fence when one is set (and not beyond the tail), else the tail.
 func (l *Log) visTail() int {

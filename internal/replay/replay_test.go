@@ -122,27 +122,3 @@ func TestLogClone(t *testing.T) {
 		t.Fatalf("clone replay broken: %+v %v", ev, ok)
 	}
 }
-
-func TestAppendEventReassignsSeq(t *testing.T) {
-	l := NewLog()
-	l.Append("boot", "", 0)
-
-	// The recorder primitive: an event arriving from the wire carries
-	// whatever Seq its producer stamped; recording reassigns it to the
-	// tail so cursor arithmetic (rollback re-execution) stays valid.
-	seq := l.AppendEvent(Event{Seq: 999, Kind: "search", Data: "uid=3", N: 3})
-	if seq != 1 {
-		t.Fatalf("AppendEvent seq = %d, want 1", seq)
-	}
-	ev, ok := l.Next()
-	if !ok || ev.Kind != "boot" {
-		t.Fatalf("first event = %+v %v", ev, ok)
-	}
-	ev, ok = l.Next()
-	if !ok || ev.Seq != 1 || ev.Kind != "search" || ev.Data != "uid=3" || ev.N != 3 {
-		t.Fatalf("recorded event = %+v %v, want seq 1 with payload intact", ev, ok)
-	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("log should be exhausted")
-	}
-}

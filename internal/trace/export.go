@@ -101,21 +101,21 @@ func ChromeTrace(w io.Writer, recs []Record) error {
 				Name: name, Ph: "E", TS: ts(r), Pid: chromePid, Tid: track(r.Worker),
 				Args: map[string]any{"cycles": r.Cycles, "n": r.Arg2},
 			})
-		case KEventBegin:
-			open[r.Worker] = append(open[r.Worker], "event")
+		case KBatchBegin:
+			open[r.Worker] = append(open[r.Worker], "ingest")
 			out = append(out, chromeEvent{
-				Name: "event", Ph: "B", TS: ts(r), Pid: chromePid, Tid: track(r.Worker),
-				Args: map[string]any{"seq": r.Arg1, "cycles": r.Cycles},
+				Name: "ingest", Ph: "B", TS: ts(r), Pid: chromePid, Tid: track(r.Worker),
+				Args: map[string]any{"seq": r.Arg1, "events": r.Arg2, "cycles": r.Cycles},
 			})
-		case KEventEnd:
+		case KBatchEnd:
 			st := open[r.Worker]
 			if len(st) == 0 {
 				continue
 			}
 			open[r.Worker] = st[:len(st)-1]
 			out = append(out, chromeEvent{
-				Name: "event", Ph: "E", TS: ts(r), Pid: chromePid, Tid: track(r.Worker),
-				Args: map[string]any{"seq": r.Arg1, "outcome": r.Arg2, "cycles": r.Cycles},
+				Name: "ingest", Ph: "E", TS: ts(r), Pid: chromePid, Tid: track(r.Worker),
+				Args: map[string]any{"seq": r.Arg1, "events": r.Arg2, "cycles": r.Cycles},
 			})
 		default:
 			out = append(out, chromeEvent{
@@ -257,17 +257,8 @@ func WriteText(w io.Writer, recs []Record) error {
 			detail = fmt.Sprintf("%s n=%d", PhaseName(r.Arg1), r.Arg2)
 		case KPatchAdd, KPatchRevoke, KPatchValidate:
 			detail = fmt.Sprintf("patch=%d gen=%d", r.Arg1, r.Arg2)
-		case KEventBegin:
-			detail = fmt.Sprintf("seq=%d", r.Arg1)
-		case KEventEnd:
-			outcome := "ok"
-			switch r.Arg2 {
-			case OutcomeRecovered:
-				outcome = "recovered"
-			case OutcomeSkipped:
-				outcome = "skipped"
-			}
-			detail = fmt.Sprintf("seq=%d outcome=%s", r.Arg1, outcome)
+		case KBatchBegin, KBatchEnd:
+			detail = fmt.Sprintf("seq=%d events=%d", r.Arg1, r.Arg2)
 		default:
 			detail = fmt.Sprintf("arg1=%d arg2=%d", r.Arg1, r.Arg2)
 		}

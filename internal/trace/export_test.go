@@ -7,18 +7,18 @@ import (
 	"testing"
 )
 
-// syntheticRecs builds a two-track trace with nested phases, an event pair,
-// and instant records — the shapes the exporter must render.
+// syntheticRecs builds a two-track trace with nested phases, an ingest
+// pair, and instant records — the shapes the exporter must render.
 func syntheticRecs() []Record {
 	return []Record{
-		{Seq: 0, Worker: 0, Cycles: 10, WallNS: 1_000, Kind: KEventBegin, Arg1: 7},
+		{Seq: 0, Worker: 0, Cycles: 10, WallNS: 1_000, Kind: KBatchBegin, Arg1: 7, Arg2: 1},
 		{Seq: 1, Worker: 0, Cycles: 20, WallNS: 2_000, Kind: KMalloc, Arg1: 3, Arg2: 64},
 		{Seq: 2, Worker: 0, Cycles: 30, WallNS: 3_000, Kind: KPhaseBegin, Arg1: PhaseRecovery, Arg2: 7},
 		{Seq: 3, Worker: 0, Cycles: 40, WallNS: 4_000, Kind: KPhaseBegin, Arg1: PhaseDiag1, Arg2: 7},
 		{Seq: 4, Worker: 0, Cycles: 50, WallNS: 5_000, Kind: KRollback, Arg1: 2, Arg2: 100},
 		{Seq: 5, Worker: 0, Cycles: 60, WallNS: 6_000, Kind: KPhaseEnd, Arg1: PhaseDiag1, Arg2: 1},
 		{Seq: 6, Worker: 0, Cycles: 70, WallNS: 7_000, Kind: KPhaseEnd, Arg1: PhaseRecovery, Arg2: 1},
-		{Seq: 7, Worker: 0, Cycles: 80, WallNS: 8_000, Kind: KEventEnd, Arg1: 7, Arg2: OutcomeRecovered},
+		{Seq: 7, Worker: 0, Cycles: 80, WallNS: 8_000, Kind: KBatchEnd, Arg1: 7, Arg2: 1},
 		{Seq: 8, Worker: uint16(ValidationTrack(0, 0)), Cycles: 5, WallNS: 5_500, Kind: KPhaseBegin, Arg1: PhaseValidation, Arg2: 7},
 		{Seq: 9, Worker: uint16(ValidationTrack(0, 0)), Cycles: 9, WallNS: 7_500, Kind: KPhaseEnd, Arg1: PhaseValidation, Arg2: 2},
 		{Seq: 10, Worker: FleetTrack, Cycles: 0, WallNS: 900, Kind: KDispatch, Arg1: 0, Arg2: 1},
@@ -40,7 +40,11 @@ func TestChromeTraceValidates(t *testing.T) {
 	}
 	names := map[string]bool{}
 	var metas int
+	ingest := map[any]int{}
 	for _, ev := range events {
+		if ev["name"] == "ingest" {
+			ingest[ev["ph"]]++
+		}
 		if ev["ph"] == "M" {
 			metas++
 			args, _ := ev["args"].(map[string]any)
@@ -55,6 +59,9 @@ func TestChromeTraceValidates(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("missing thread_name %q; got %v", want, names)
 		}
+	}
+	if ingest["B"] != 1 || ingest["E"] != 1 || len(ingest) != 2 {
+		t.Fatalf("ingest records rendered as %v, want one B/E slice", ingest)
 	}
 }
 
@@ -134,7 +141,7 @@ func TestWriteText(t *testing.T) {
 	for _, want := range []string{
 		"malloc", "site=3 bytes=64",
 		"recovery anchor=7",
-		"outcome=recovered",
+		"seq=7 events=1",
 		"fleet", "worker-0/validation-0",
 	} {
 		if !strings.Contains(out, want) {

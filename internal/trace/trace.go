@@ -75,10 +75,11 @@ const (
 	KPatchRevoke   // arg1 = patch ID, arg2 = pool generation after the revoke
 	KPatchValidate // arg1 = patch ID, arg2 = pool generation after the flag
 
-	// Service plane (core streaming ingest, fleet dispatch).
-	KEventBegin // arg1 = event seq
-	KEventEnd   // arg1 = event seq, arg2 = outcome (OutcomeOK…)
-	KDispatch   // arg1 = target worker, arg2 = its queue depth at dispatch
+	// Service plane (fleet dispatch). The two blank kinds are retired
+	// numbers, held so that every later kind keeps its own.
+	_
+	_
+	KDispatch // arg1 = target worker, arg2 = its queue depth at dispatch
 
 	// Sampled guard-page detection (internal/guard); records land on the
 	// worker's guard track (GuardTrack).
@@ -93,18 +94,10 @@ const (
 	KSpecWin    // arg1 = hypothesis ordinal, arg2 = 1 if served from the standby clone
 	KSpecCancel // arg1 = hypothesis ordinal, arg2 = checkpoint seq
 
-	// Batched ingest (core.IngestBatch, fleet batch dispatch). Per-event
-	// KEventBegin/End records are amortized away on the batch path; these
-	// bracket the whole batch instead.
-	KBatchBegin // arg1 = first event seq, arg2 = batch length
-	KBatchEnd   // arg1 = first event seq, arg2 = batch length
-)
-
-// Event outcome codes carried in KEventEnd.Arg2.
-const (
-	OutcomeOK        = 0
-	OutcomeRecovered = 1
-	OutcomeSkipped   = 2
+	// Ingest (core.Supervisor.Ingest and IngestBatch): one pair brackets
+	// every ingest call, a single event being a batch of one.
+	KBatchBegin // arg1 = first event seq, arg2 = events in the call
+	KBatchEnd   // arg1 = first event seq, arg2 = events in the call
 )
 
 var kindNames = map[Kind]string{
@@ -125,8 +118,6 @@ var kindNames = map[Kind]string{
 	KPatchAdd:      "patch-add",
 	KPatchRevoke:   "patch-revoke",
 	KPatchValidate: "patch-validate",
-	KEventBegin:    "event-begin",
-	KEventEnd:      "event-end",
 	KDispatch:      "dispatch",
 	KGuardAlloc:    "guard-alloc",
 	KGuardFree:     "guard-free",

@@ -320,3 +320,19 @@ func TestTrackBelongsTo(t *testing.T) {
 		}
 	}
 }
+
+// TestKindNumbersAreStable: trace files store kinds by number, so retiring
+// a kind must leave every later number in place, and a retired number
+// renders as a bare kind rather than a live name.
+func TestKindNumbersAreStable(t *testing.T) {
+	for k, want := range map[Kind]Kind{KPatchValidate: 17, KDispatch: 20, KSpecCancel: 26, KBatchBegin: 27, KBatchEnd: 28} {
+		if k != want {
+			t.Errorf("%s = %d, want %d", k, k, want)
+		}
+	}
+	for _, retired := range []Kind{18, 19} {
+		if got, want := retired.String(), "kind-"+formatUint(uint64(retired)); got != want {
+			t.Errorf("retired kind %d renders as %q, want %q", retired, got, want)
+		}
+	}
+}
