@@ -33,6 +33,10 @@
 //	GET  /diagnoses/{id}/trace  its trace slice; ?format=chrome or text
 //	GET  /diagnoses/{id}/bundle its postmortem bundle (tar.gz)
 //
+// With -pool FILE the shared patch pool is loaded at start and saved
+// crash-safely whenever it changes and at exit, so the patches a fleet
+// learns outlive a kill -9.
+//
 // With -load the binary starts its own fleet, drives the built-in
 // concurrent load generator against it over a real TCP socket, prints
 // throughput and latency percentiles, and exits.
@@ -65,7 +69,7 @@ func main() {
 		workers    = flag.Int("workers", 4, "supervised machines in the fleet")
 		queue      = flag.Int("queue", 64, "per-worker inbox depth")
 		dispatch   = flag.String("dispatch", "hash", "request dispatch: hash (sticky by source) or roundrobin")
-		poolPath   = flag.String("pool", "", "patch-pool file to load at start and save at exit")
+		poolPath   = flag.String("pool", "", "patch-pool file to load at start, save whenever the pool changes, and save at exit")
 		parallel   = flag.Bool("parallel-validation", false, "validate patches on cloned machines in parallel")
 		speculate  = flag.Bool("speculate", true, "per worker: race diagnosis hypotheses on COW clones with a pre-warmed standby (identical verdicts, shorter recoveries); -speculate=false re-executes serially")
 		traceCap   = flag.Int("trace-cap", 0, "execution-trace ring capacity in records (0 = default 64Ki)")
@@ -133,6 +137,10 @@ func main() {
 	}
 
 	f := fleet.New(func() app.Program { return newApp() }, cfg)
+	var saver *poolSaver
+	if *poolPath != "" {
+		saver = startPoolSaver(f.Pool(), *poolPath)
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -176,7 +184,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(rep.String())
-		shutdown(srv, f, *poolPath)
+		shutdown(srv, f, saver, *poolPath)
 		return
 	}
 
@@ -188,7 +196,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
-	shutdown(srv, f, *poolPath)
+	shutdown(srv, f, saver, *poolPath)
 }
 
 // Connection timeouts: a client slower than these to send a request
@@ -214,9 +222,55 @@ func newServer(f *fleet.Fleet) *http.Server {
 	}
 }
 
+// poolSaveEvery is how often the pool saver looks for new patches: a
+// crash loses at most this much of what the fleet learned.
+const poolSaveEvery = 100 * time.Millisecond
+
+// poolSaver persists the shared patch pool while the server runs: every
+// poolSaveEvery it saves the pool crash-safely if its generation moved
+// since the last save, so learned patches survive a kill -9, not only a
+// graceful shutdown.
+type poolSaver struct {
+	stop, done chan struct{}
+}
+
+func startPoolSaver(pool *patch.Pool, path string) *poolSaver {
+	s := &poolSaver{stop: make(chan struct{}), done: make(chan struct{})}
+	saved := pool.Generation()
+	go func() {
+		defer close(s.done)
+		tick := time.NewTicker(poolSaveEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-tick.C:
+			}
+			// Read the generation before saving: a change made during the
+			// save moves it again and is saved on the next tick.
+			if gen := pool.Generation(); gen != saved {
+				if err := pool.SaveFile(path); err != nil {
+					fmt.Fprintf(os.Stderr, "saving pool: %v\n", err)
+					continue
+				}
+				saved = gen
+			}
+		}
+	}()
+	return s
+}
+
+// Stop ends the saver and waits for a save in progress to finish.
+func (s *poolSaver) Stop() {
+	close(s.stop)
+	<-s.done
+}
+
 // shutdown stops accepting traffic, drains the fleet, prints its final
-// stats, and persists the patch pool.
-func shutdown(srv *http.Server, f *fleet.Fleet, poolPath string) {
+// stats, stops the pool saver (nil without -pool) and persists the patch
+// pool one last time.
+func shutdown(srv *http.Server, f *fleet.Fleet, saver *poolSaver, poolPath string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx)
@@ -227,6 +281,9 @@ func shutdown(srv *http.Server, f *fleet.Fleet, poolPath string) {
 	fmt.Printf("core: failures %d, recoveries %d, skipped %d, patches made %d, active patches %d\n",
 		st.Core.Failures, st.Core.Recoveries, st.Core.Skipped, st.Core.PatchesMade, st.ActivePatches)
 
+	if saver != nil {
+		saver.Stop()
+	}
 	if poolPath != "" {
 		if err := f.Pool().SaveFile(poolPath); err != nil {
 			fmt.Fprintf(os.Stderr, "saving pool: %v\n", err)

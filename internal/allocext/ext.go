@@ -109,11 +109,10 @@ type markRange struct {
 
 // extState is the checkpointable part of the extension.
 type extState struct {
-	objects    map[vmem.Addr]*Object // by user address; live and delay-freed
-	delayQ     []vmem.Addr           // FIFO of delay-freed user addresses
+	objs       objTable    // by user address; live and delay-freed
+	delayQ     []vmem.Addr // FIFO of delay-freed user addresses
 	delayBytes uint64
 	freed      map[vmem.Addr]freedSite // free site of recently freed addrs
-	freedOrder []vmem.Addr             // FIFO cap for freed, oldest first
 	freedSeq   uint32                  // stamp of the latest free remembered
 	padded     []vmem.Addr             // live canary-padded objects (scan registry)
 	protected  []vmem.Addr             // sensitive-region objects (eager-validation registry)
@@ -124,13 +123,14 @@ type extState struct {
 	padPeak    uint64 // peak concurrent padding bytes (Table 5)
 }
 
+// freedCap is the freed-address horizon: a free is remembered until
+// freedCap later frees have happened, or until its address is reallocated.
 const freedCap = 4096
 
-// freedSite is a freed entry: the free site and the stamp of the free,
-// which is also its FIFO slot's stamp. Every remembered free appends one
-// slot, so slot i holds stamp freedSeq-len(freedOrder)+1+i and the FIFO
-// stores no stamps. Once the address is reallocated and freed again, its
-// older slots are stale: popping one leaves the newer entry in place.
+// freedSite is a freed entry: the free site and the stamp of the free
+// (extState.freedSeq at the time). The entry counts only while fewer than
+// freedCap frees have followed it (extState.remembered); expired entries
+// are swept in bulk once the map holds more than 2×freedCap.
 type freedSite struct {
 	site callsite.ID
 	seq  uint32
@@ -138,19 +138,20 @@ type freedSite struct {
 
 func newExtState() extState {
 	return extState{
-		objects: make(map[vmem.Addr]*Object),
-		freed:   make(map[vmem.Addr]freedSite),
+		objs:  newObjTable(),
+		freed: make(map[vmem.Addr]freedSite),
 	}
 }
 
-// clone deep-copies the state for a checkpoint.
+// clone copies the state for a checkpoint or a machine clone. The object
+// table's groups and leaves are shared, not copied: the caller disowns
+// them on the side that goes on mutating (Ext.State, Ext.CopyStateFrom).
 func (s *extState) clone() extState {
 	cp := extState{
-		objects:    make(map[vmem.Addr]*Object, len(s.objects)),
+		objs:       s.objs.share(),
 		delayQ:     append([]vmem.Addr(nil), s.delayQ...),
 		delayBytes: s.delayBytes,
 		freed:      make(map[vmem.Addr]freedSite, len(s.freed)),
-		freedOrder: append([]vmem.Addr(nil), s.freedOrder...),
 		freedSeq:   s.freedSeq,
 		padded:     append([]vmem.Addr(nil), s.padded...),
 		protected:  append([]vmem.Addr(nil), s.protected...),
@@ -160,23 +161,15 @@ func (s *extState) clone() extState {
 		padBytes:   s.padBytes,
 		padPeak:    s.padPeak,
 	}
-	// One slab for every copied Object instead of one allocation each: a
-	// checkpoint and every machine clone copy this state, and pointers into
-	// the slab stay valid because it is never appended past its capacity.
-	slab := make([]Object, 0, len(s.objects))
-	for k, o := range s.objects {
-		slab = append(slab, *o)
-		oc := &slab[len(slab)-1]
-		if o.written != nil {
-			oc.written = append([]uint64(nil), o.written...)
-		}
-		cp.objects[k] = oc
-	}
 	for k, v := range s.freed {
 		cp.freed[k] = v
 	}
 	return cp
 }
+
+// remembered reports whether a free recorded as rec still counts: fewer
+// than freedCap frees have followed it.
+func (s *extState) remembered(rec freedSite) bool { return s.freedSeq-rec.seq < freedCap }
 
 // Ext is the allocator extension.
 type Ext struct {
@@ -377,9 +370,12 @@ type extCheckpoint struct {
 	guard interface{}
 }
 
-// State snapshots the extension for a checkpoint.
+// State snapshots the extension for a checkpoint. The snapshot shares the
+// object table's groups and leaves with the live extension, which copies
+// each one before it first changes it.
 func (e *Ext) State() interface{} {
 	st := e.s.clone()
+	e.s.objs.disown()
 	if e.guard == nil {
 		return &st
 	}
@@ -402,11 +398,13 @@ func (e *Ext) SetState(v interface{}) {
 	e.watchDirty = true
 }
 
-// CopyStateFrom gives e a deep copy of src's state, guard tier included —
-// SetState(src.State()) with one copy instead of two. As with SetState,
-// attach the guard first.
+// CopyStateFrom gives e a copy of src's state, guard tier included —
+// SetState(src.State()) with one copy instead of two. The two extensions
+// share the object table copy-on-write, so neither sees the other's
+// changes. As with SetState, attach the guard first.
 func (e *Ext) CopyStateFrom(src *Ext) {
 	e.s = src.s.clone()
+	src.s.objs.disown()
 	if e.guard != nil && src.guard != nil {
 		e.guard.CopyStateFrom(src.guard)
 	}
@@ -418,11 +416,12 @@ func (e *Ext) CopyStateFrom(src *Ext) {
 // LiveObjects returns the number of live (non-delayed) objects.
 func (e *Ext) LiveObjects() int {
 	n := 0
-	for _, o := range e.s.objects {
+	e.s.objs.each(func(o *Object) bool {
 		if !o.Delayed {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -591,7 +590,7 @@ func (e *Ext) mallocWithAction(n uint32, site callsite.ID, act AllocAction) (vme
 	if e.mode == ModeValidation && act.Zero {
 		obj.written = make([]uint64, (n+63)/64)
 	}
-	e.s.objects[user] = obj
+	e.putObject(obj)
 	if act.PadCanary {
 		e.s.padded = append(e.s.padded, user)
 	}
@@ -652,7 +651,7 @@ func (e *Ext) guardMalloc(n uint32, site callsite.ID, act AllocAction) (vmem.Add
 	if e.mode == ModeValidation && act.Zero {
 		obj.written = make([]uint64, (n+63)/64)
 	}
-	e.s.objects[user] = obj
+	e.putObject(obj)
 	if act.PadCanary {
 		e.s.padded = append(e.s.padded, user)
 	}
@@ -687,11 +686,11 @@ func (e *Ext) accountRelease(o *Object) {
 func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 	e.noteSeen(site, false)
 	e.cost += costPerRequest
-	obj, ok := e.s.objects[ptr]
-	if !ok {
+	obj := e.s.objs.get(ptr)
+	if obj == nil {
 		// Not a live object: double free of a fully-recycled pointer,
 		// or a wild free.
-		if rec, wasFreed := e.s.freed[ptr]; wasFreed {
+		if rec, wasFreed := e.s.freed[ptr]; wasFreed && e.s.remembered(rec) {
 			first := rec.site
 			// The patch application point is the *first* deallocation
 			// site — the premature free that characterises the
@@ -780,6 +779,7 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 		e.triggers[site]++
 	}
 	if act.Delay {
+		obj = e.mutObject(ptr)
 		obj.Delayed = true
 		obj.FreeSite = site
 		obj.Free = act
@@ -808,7 +808,7 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 		// Only reachable while protection is dormant (probe replays).
 		e.Unprotect(ptr, site)
 	}
-	delete(e.s.objects, ptr)
+	e.delObject(ptr)
 	e.accountRelease(obj)
 	e.markWatchDirtyFor(obj)
 	// Guarded frees are remembered by the quarantine instead of the freed
@@ -849,13 +849,37 @@ func (e *Ext) recordBlockedRefree(ptr vmem.Addr, site callsite.ID) {
 func (e *Ext) rememberFreed(ptr vmem.Addr, site callsite.ID) {
 	e.s.freedSeq++
 	e.s.freed[ptr] = freedSite{site: site, seq: e.s.freedSeq}
-	e.s.freedOrder = append(e.s.freedOrder, ptr)
-	for len(e.s.freedOrder) > freedCap {
-		old, seq := e.s.freedOrder[0], e.s.freedSeq-uint32(len(e.s.freedOrder))+1
-		e.s.freedOrder = e.s.freedOrder[1:]
-		if e.s.freed[old].seq == seq {
-			delete(e.s.freed, old)
+	if len(e.s.freed) > 2*freedCap {
+		for k, rec := range e.s.freed {
+			if !e.s.remembered(rec) {
+				delete(e.s.freed, k)
+			}
 		}
+	}
+}
+
+// putObject, mutObject and delObject change the object table. A change
+// that copies a leaf moves that page's records, so the watch index, which
+// points at records, is rebuilt before its next use.
+func (e *Ext) putObject(o *Object) {
+	if e.s.objs.put(o) {
+		e.watchDirty = true
+	}
+}
+
+// mutObject returns a writable record of the object at user, which must
+// exist. Records from Object, ObjectAt or the watch index are read-only.
+func (e *Ext) mutObject(user vmem.Addr) *Object {
+	o, copied := e.s.objs.mut(user)
+	if copied {
+		e.watchDirty = true
+	}
+	return o
+}
+
+func (e *Ext) delObject(user vmem.Addr) {
+	if e.s.objs.del(user) {
+		e.watchDirty = true
 	}
 }
 
@@ -869,15 +893,15 @@ func (e *Ext) enforceDelayLimit() {
 	for e.s.delayBytes > e.DelayLimit && len(e.s.delayQ) > 0 {
 		old := e.s.delayQ[0]
 		e.s.delayQ = e.s.delayQ[1:]
-		obj, ok := e.s.objects[old]
-		if !ok || !obj.Delayed {
+		obj := e.s.objs.get(old)
+		if obj == nil || !obj.Delayed {
 			continue
 		}
 		if obj.Protected {
 			kept = append(kept, old)
 			continue
 		}
-		delete(e.s.objects, old)
+		e.delObject(old)
 		e.s.delayBytes -= uint64(obj.totalLen())
 		e.accountRelease(obj)
 		e.watchDirty = true
@@ -932,8 +956,8 @@ func (e *Ext) protectionActive() bool {
 // re-protecting, is a no-op.
 func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 	e.cost += costPerRequest
-	obj, ok := e.s.objects[user]
-	if !ok || obj.Delayed {
+	obj := e.s.objs.get(user)
+	if obj == nil || obj.Delayed {
 		return user, nil
 	}
 	if obj.Protected {
@@ -942,7 +966,7 @@ func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 	if !e.protectionActive() || obj.Alloc.PadCanary {
 		// Dormant (probe replay), or the object already carries canaried
 		// padding (e.g. an installed add-padding patch): mark in place.
-		obj.Protected = true
+		e.mutObject(user).Protected = true
 		e.s.protected = append(e.s.protected, user)
 		return user, nil
 	}
@@ -962,12 +986,11 @@ func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 		}
 		e.chargeFill(int(obj.UserSize))
 	}
-	nobj := e.s.objects[nu]
-	nobj.Protected = true
+	e.mutObject(nu).Protected = true
 	e.s.protected = append(e.s.protected, nu)
 	// Release the original immediately: this is an internal move, not a
 	// program free, so it records no freed-site history.
-	delete(e.s.objects, obj.User)
+	e.delObject(obj.User)
 	e.accountRelease(obj)
 	e.markWatchDirtyFor(obj)
 	if obj.Guarded {
@@ -983,11 +1006,10 @@ func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 // quarantine.
 func (e *Ext) Unprotect(user vmem.Addr, site callsite.ID) {
 	e.cost += costPerRequest
-	obj, ok := e.s.objects[user]
-	if !ok || !obj.Protected {
+	if obj := e.s.objs.get(user); obj == nil || !obj.Protected {
 		return
 	}
-	obj.Protected = false
+	e.mutObject(user).Protected = false
 	for i, p := range e.s.protected {
 		if p == user {
 			e.s.protected = append(e.s.protected[:i], e.s.protected[i+1:]...)
@@ -999,8 +1021,8 @@ func (e *Ext) Unprotect(user vmem.Addr, site callsite.ID) {
 // IsProtected reports whether the object at user is a sensitive region
 // (proc.ProtectingMM support; realloc uses it to carry protection over).
 func (e *Ext) IsProtected(user vmem.Addr) bool {
-	obj, ok := e.s.objects[user]
-	return ok && obj.Protected
+	obj := e.s.objs.get(user)
+	return obj != nil && obj.Protected
 }
 
 // ProtectedObjects returns the number of registered sensitive regions.
@@ -1029,8 +1051,8 @@ func (e *Ext) CheckProtected() *ProtectedViolation {
 	}
 	mem := e.H.Mem()
 	for _, p := range e.s.protected {
-		obj, ok := e.s.objects[p]
-		if !ok || !obj.Protected {
+		obj := e.s.objs.get(p)
+		if obj == nil || !obj.Protected {
 			// Released while protection was dormant, or the address was
 			// recycled by an unrelated allocation.
 			continue
@@ -1129,13 +1151,13 @@ func (e *Ext) checkPadding(obj *Object) {
 func (e *Ext) Scan() {
 	mem := e.H.Mem()
 	for _, p := range e.s.padded {
-		if obj, ok := e.s.objects[p]; ok && !obj.Delayed {
+		if obj := e.s.objs.get(p); obj != nil && !obj.Delayed {
 			e.checkPadding(obj)
 		}
 	}
 	for _, p := range e.s.delayQ {
-		obj, ok := e.s.objects[p]
-		if !ok || !obj.Delayed || !obj.Free.CanaryFill {
+		obj := e.s.objs.get(p)
+		if obj == nil || !obj.Delayed || !obj.Free.CanaryFill {
 			continue
 		}
 		if c := canary.Check(mem, obj.User, int(obj.UserSize), canary.Freed); c.Corrupted() {
@@ -1230,26 +1252,29 @@ func (e *Ext) ClearMarks() { e.s.marks = nil }
 // searching live and delay-freed objects.
 func (e *Ext) ObjectAt(addr vmem.Addr) *Object {
 	// Fast path: exact user address.
-	if o, ok := e.s.objects[addr]; ok {
+	if o := e.s.objs.get(addr); o != nil {
 		return o
 	}
-	for _, o := range e.s.objects {
+	var found *Object
+	e.s.objs.each(func(o *Object) bool {
 		if addr >= o.Base && addr < o.Base+o.totalLen() {
-			return o
+			found = o
 		}
-	}
-	return nil
+		return found == nil
+	})
+	return found
 }
 
-// Object returns the record for the exact user address, if any.
+// Object returns the record for the exact user address, if any. The record
+// is read-only.
 func (e *Ext) Object(user vmem.Addr) (*Object, bool) {
-	o, ok := e.s.objects[user]
-	return o, ok
+	o := e.s.objs.get(user)
+	return o, o != nil
 }
 
 // UserSize reports the live object's user size (proc.Realloc support).
 func (e *Ext) UserSize(user vmem.Addr) (uint32, bool) {
-	if o, ok := e.s.objects[user]; ok && !o.Delayed {
+	if o := e.s.objs.get(user); o != nil && !o.Delayed {
 		return o.UserSize, true
 	}
 	return 0, false
@@ -1259,12 +1284,13 @@ func (e *Ext) UserSize(user vmem.Addr) (uint32, bool) {
 func (e *Ext) LiveSites() []callsite.ID {
 	seen := map[callsite.ID]bool{}
 	var out []callsite.ID
-	for _, o := range e.s.objects {
+	e.s.objs.each(func(o *Object) bool {
 		if !seen[o.AllocSite] {
 			seen[o.AllocSite] = true
 			out = append(out, o.AllocSite)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -1285,11 +1311,12 @@ func (e *Ext) markWatchDirtyFor(o *Object) {
 // rebuildWatch regenerates the Base-sorted index of interesting objects.
 func (e *Ext) rebuildWatch() {
 	e.watch = e.watch[:0]
-	for _, o := range e.s.objects {
+	e.s.objs.each(func(o *Object) bool {
 		if interesting(o) {
 			e.watch = append(e.watch, o)
 		}
-	}
+		return true
+	})
 	sortObjectsByBase(e.watch)
 	e.watchDirty = false
 }
@@ -1405,6 +1432,7 @@ func (e *Ext) trackInit(obj *Object, addr, end vmem.Addr, write bool, instr stri
 		return
 	}
 	if write {
+		obj = e.mutObject(obj.User)
 		for i := lo; i < hi; i++ {
 			obj.written[i/64] |= 1 << (uint(i) % 64)
 		}

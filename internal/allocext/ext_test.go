@@ -252,8 +252,9 @@ func TestUnprotectedDoubleFreeCrashes(t *testing.T) {
 }
 
 // TestDoubleFreeOfHotAddressManifests: an address recycled by thousands of
-// malloc/free pairs stays remembered as freed once the freed FIFO has
-// wrapped, so a double free of it still manifests at its free site.
+// malloc/free pairs stays remembered as freed after more than freedCap
+// frees, so a double free of it still manifests at its free site, and the
+// freed map stays within freedCap entries.
 func TestDoubleFreeOfHotAddressManifests(t *testing.T) {
 	f := newFixture(t)
 	hot, _ := f.ext.Malloc(32, f.site)
@@ -272,12 +273,46 @@ func TestDoubleFreeOfHotAddressManifests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(f.ext.s.freedOrder); n > freedCap {
-		t.Fatalf("freed FIFO holds %d entries, cap %d", n, freedCap)
+	if n := len(f.ext.s.freed); n > freedCap {
+		t.Fatalf("freed map holds %d entries, cap %d", n, freedCap)
 	}
 	f.ext.Free(hot, f.site) // unprotected: the raw allocator faults
 	if sites := f.ext.Manifests().Sites(mmbug.DoubleFree); len(sites) != 1 || sites[0] != f.site2 {
 		t.Fatalf("double free of a hot address manifested at sites %v, want [%d]", sites, f.site2)
+	}
+}
+
+// TestFreedHorizon pins how long a free is remembered: a double free
+// manifests after freedCap-1 later frees of other addresses and no longer
+// after freedCap, the horizon of the bounded freed-address record.
+func TestFreedHorizon(t *testing.T) {
+	for _, tc := range []struct {
+		later    int
+		manifest bool
+	}{{freedCap - 1, true}, {freedCap, false}} {
+		f := newFixture(t)
+		victim, _ := f.ext.Malloc(32, f.site)
+		others := make([]vmem.Addr, tc.later)
+		for i := range others {
+			a, err := f.ext.Malloc(32, f.site)
+			if err != nil {
+				t.Fatal(err)
+			}
+			others[i] = a
+		}
+		if err := f.ext.Free(victim, f.site2); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range others {
+			if err := f.ext.Free(a, f.site); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.ext.Free(victim, f.site) // unprotected: the raw allocator faults
+		sites := f.ext.Manifests().Sites(mmbug.DoubleFree)
+		if got := len(sites) == 1 && sites[0] == f.site2; got != tc.manifest {
+			t.Fatalf("double free after %d later frees manifested at %v, want manifest=%v", tc.later, sites, tc.manifest)
+		}
 	}
 }
 

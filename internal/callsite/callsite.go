@@ -14,6 +14,8 @@ package callsite
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -63,6 +65,11 @@ func FromStack(stack []string) Key {
 type Table struct {
 	byKey map[Key]ID
 	byID  []Key // index id-1
+
+	// shared marks byKey as shared with a Clone: the first new key on
+	// either side copies it. (byID is shared at full capacity, so an
+	// append on either side reallocates it.)
+	shared bool
 }
 
 // NewTable returns an empty interning table.
@@ -74,6 +81,10 @@ func NewTable() *Table {
 func (t *Table) Intern(key Key) ID {
 	if id, ok := t.byKey[key]; ok {
 		return id
+	}
+	if t.shared {
+		t.byKey = maps.Clone(t.byKey)
+		t.shared = false
 	}
 	t.byID = append(t.byID, key)
 	id := ID(len(t.byID))
@@ -98,16 +109,13 @@ func (t *Table) Len() int { return len(t.byID) }
 
 // Clone returns an independent copy of the table with identical IDs, so a
 // forked machine (parallel validation) can intern new sites without racing
-// the original. Existing IDs remain valid in both.
+// the original. Existing IDs remain valid in both. The two tables share
+// their contents until either interns a new key, so a clone costs the
+// same however many sites the program has. Clone must be called while no
+// other goroutine is using t.
 func (t *Table) Clone() *Table {
-	cp := &Table{
-		byKey: make(map[Key]ID, len(t.byKey)),
-		byID:  append([]Key(nil), t.byID...),
-	}
-	for k, id := range t.byKey {
-		cp.byKey[k] = id
-	}
-	return cp
+	t.shared = true
+	return &Table{byKey: t.byKey, byID: slices.Clip(t.byID), shared: true}
 }
 
 // All returns every interned ID in assignment order.

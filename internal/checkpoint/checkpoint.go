@@ -7,6 +7,14 @@
 // registers/clock/PRNG, and the replay-log cursor. Rollback reinstates all
 // five, after which re-execution is deterministic.
 //
+// Like a fork, a checkpoint costs what the interval before it dirtied, not
+// what the machine holds: Take copies the root of vmem's two-level page
+// table and the root of the extension's object table, sharing every leaf
+// copy-on-write with the live machine, and the first write into a shared
+// leaf after the checkpoint copies that leaf. Rollback points both roots
+// back at the checkpoint's leaves, and releasing a checkpoint drops its
+// leaf references.
+//
 // Instead of a fixed interval, the manager adapts the checkpointing
 // interval to the copy-on-write page rate: if the modelled overhead exceeds
 // the user threshold Toverhead, the interval grows (up to Tcheckpoint);
@@ -288,10 +296,11 @@ func (m *Manager) adapt(dirty, interval uint64) {
 
 // Rollback reinstates the machine state saved in cp. The checkpoint stays
 // valid and may be rolled back to again (diagnosis re-executes from the
-// same checkpoint many times). The memory rewind is O(pages dirtied since
-// the checkpoint), not O(heap pages): vmem replays its slot journal and
-// reuses the existing page table, so the diagnose/re-execute loop pays
-// only for what it changed.
+// same checkpoint many times). The rewind costs what changed since the
+// checkpoint, not the heap: vmem points its root back at the checkpoint's
+// leaves (the leaves it drops go back to its freelists) and the extension
+// copies the root of its object table, so the diagnose/re-execute loop
+// pays only for what it changed.
 func (m *Manager) Rollback(cp *Checkpoint) {
 	m.met.rollbacks.Inc()
 	m.trc.Emit(trace.KRollback, uint64(cp.Seq), uint64(cp.Cursor))

@@ -279,7 +279,7 @@ func TestRollbackIsODirty(t *testing.T) {
 			w.mgr.Rollback(cp)
 		}
 	}
-	loop(32) // steady state: freelist warm, journal capacity settled
+	loop(32) // steady state: leaf and page freelists warm
 
 	const iters = 512
 	var before, after runtime.MemStats

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"firstaid/internal/mmbug"
 	"firstaid/internal/proc"
 	"firstaid/internal/replay"
+	"firstaid/internal/vmem"
 )
 
 // TestCloneCanMapLargeBlock is the machine-level regression test for the
@@ -45,9 +47,14 @@ func TestCloneCanMapLargeBlock(t *testing.T) {
 
 // bigHeapApp allocates a configurable amount of live sbrk heap in Init and
 // then touches it round-robin — the substrate for clone benchmarks and COW
-// stress, where the interesting variable is resident heap size.
+// stress, where the interesting variable is resident heap size. With churn
+// set, events also rewrite whole blocks (some straddle page-table leaf
+// boundaries) and allocate, fill and free blocks large enough for the
+// allocator's Map path, so page-table leaves are copied, added and
+// dropped while clones share them.
 type bigHeapApp struct {
 	blocks int // 64 KiB each
+	churn  bool
 }
 
 func (b *bigHeapApp) Name() string       { return "bigheap" }
@@ -70,6 +77,17 @@ func (b *bigHeapApp) Handle(p *proc.Proc, ev replay.Event) {
 	i := ev.Seq % b.blocks
 	a := p.LoadU32(table + uint32(4*i))
 	p.StoreU32(a+uint32(4*(ev.Seq%1000)), uint32(ev.Seq))
+	if b.churn {
+		if ev.Seq%8 == 0 {
+			p.Memset(a, byte(ev.Seq), 64<<10)
+		}
+		if ev.Seq%10 == 0 {
+			big := p.Malloc(300 << 10) // Map path: 76 pages over two leaves
+			p.Memset(big, byte(ev.Seq), 300<<10)
+			p.StoreU32(a, p.LoadU32(big+(300<<10)-4))
+			p.Free(big)
+		}
+	}
 	p.Tick(1000)
 }
 
@@ -83,11 +101,14 @@ func bigHeapLog(events int) *replay.Log {
 
 // TestConcurrentCloneStress runs N validation-style COW clones to
 // completion on their own goroutines while the parent keeps executing,
-// checkpointing and rolling back. Deterministic machines must all agree,
-// and under -race this doubles as the machine-level COW race check.
+// checkpointing and rolling back. The churning app makes every side write
+// across page-table leaf boundaries and Map and Unmap regions that span
+// leaves. Deterministic machines must all agree, on clock and on every
+// heap byte, and under -race this doubles as the machine-level COW race
+// check.
 func TestConcurrentCloneStress(t *testing.T) {
 	const clones = 4
-	a := &bigHeapApp{blocks: 32} // 2 MiB live heap
+	a := &bigHeapApp{blocks: 32, churn: true} // 2 MiB live heap
 	m := NewMachine(a, bigHeapLog(400), MachineConfig{})
 	for i := 0; i < 50; i++ {
 		if f, ok := m.Step(); !ok || f != nil {
@@ -96,6 +117,7 @@ func TestConcurrentCloneStress(t *testing.T) {
 	}
 
 	clocks := make([]uint64, clones)
+	heaps := make([][]byte, clones)
 	var wg sync.WaitGroup
 	for c := 0; c < clones; c++ {
 		clone := m.Clone()
@@ -116,6 +138,7 @@ func TestConcurrentCloneStress(t *testing.T) {
 				}
 			}
 			clocks[c] = clone.Proc.Clock()
+			heaps[c], _ = clone.Mem.Read(vmem.HeapBase, int(clone.Mem.MappedBytes()))
 		}(c, clone)
 	}
 	// Parent: keep executing with checkpoint/rollback churn while the
@@ -133,6 +156,9 @@ func TestConcurrentCloneStress(t *testing.T) {
 	for c := 1; c < clones; c++ {
 		if clocks[c] != clocks[0] {
 			t.Fatalf("clone %d finished at clock %d, clone 0 at %d", c, clocks[c], clocks[0])
+		}
+		if !bytes.Equal(heaps[c], heaps[0]) {
+			t.Fatalf("clone %d finished with a different heap image than clone 0", c)
 		}
 	}
 }

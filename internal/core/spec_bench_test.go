@@ -354,11 +354,10 @@ func BenchmarkStandbyCloneWarm(b *testing.B) {
 // however long the machine has run: CloneForSpeculation after 64k logged
 // events must stay within 1.5x of its cost after 1k. Heap, page tables and
 // call sites are bounded by the heap, not by uptime; the replay log is not,
-// so this fails if clones go back to copying it (~29x). What growth is left
-// (~1.3x) is the extension's freed-address FIFO filling up to its
-// 4096-entry cap. Short interleaved rounds, best-of, one re-measure — the
-// repo's guard shape; rounds are short so the best of each side is a round
-// without a GC cycle.
+// so this fails if clones go back to copying it (~29x). The clone copies
+// table roots and shares their leaves, so what is left reads ~1.0x. Short
+// interleaved rounds, best-of, one re-measure — the repo's guard shape;
+// rounds are short so the best of each side is a round without a GC cycle.
 func BenchmarkCloneFlatGuard(b *testing.B) {
 	const (
 		budget = 1.5
@@ -404,5 +403,159 @@ func BenchmarkCloneFlatGuard(b *testing.B) {
 	b.ReportMetric(growth, "growth-x")
 	if growth > budget {
 		b.Fatalf("CloneForSpeculation after 64k events costs %.2fx its cost after 1k, budget %.1fx", growth, budget)
+	}
+}
+
+// shapeApp lays out a heap for BenchmarkCheckpointFlatGuard: objects of
+// size bytes in the sbrk heap, then blocks of block bytes each. Blocks at
+// or above the allocator's mmap threshold land in the Map zone at
+// MmapBase, apache's shape; smaller ones extend the sbrk heap. Init keeps
+// the addresses in the app — test-only state, as the guard never clones.
+type shapeApp struct {
+	objects, blocks int
+	size, block     uint32
+	objs, blks      []vmem.Addr
+}
+
+func (a *shapeApp) Name() string                        { return "shape" }
+func (a *shapeApp) Bugs() []mmbug.Type                  { return nil }
+func (a *shapeApp) Handle(p *proc.Proc, _ replay.Event) {}
+
+func (a *shapeApp) Init(p *proc.Proc) {
+	defer p.Enter("shape_init")()
+	for i := 0; i < a.objects; i++ {
+		a.objs = append(a.objs, p.Malloc(a.size))
+	}
+	for i := 0; i < a.blocks; i++ {
+		a.blks = append(a.blks, p.Malloc(a.block))
+	}
+}
+
+// shape is one configuration of the checkpoint flat guard: its machine and
+// the eight words each interval writes, one per page.
+type shape struct {
+	m       *Machine
+	targets []vmem.Addr
+}
+
+// newShape builds the machine and picks its targets: the first object at
+// or after each heap offset in objAt (pages past HeapBase), and in the
+// blocks the given byte offsets, counted across blocks.
+func newShape(b *testing.B, a *shapeApp, objAt []int, blkAt []uint32) shape {
+	b.Helper()
+	m := NewMachine(a, replay.NewLog(), MachineConfig{})
+	sh := shape{m: m}
+	for _, pg := range objAt {
+		at := vmem.HeapBase + vmem.Addr(pg*vmem.PageSize)
+		for _, o := range a.objs {
+			if o >= at {
+				sh.targets = append(sh.targets, o+8)
+				break
+			}
+		}
+	}
+	for _, off := range blkAt {
+		sh.targets = append(sh.targets, a.blks[off/a.block]+off%a.block)
+	}
+	if len(sh.targets) != len(objAt)+len(blkAt) {
+		b.Fatalf("shape: %d targets, want %d", len(sh.targets), len(objAt)+len(blkAt))
+	}
+	return sh
+}
+
+// interval is one checkpoint interval: dirty the shape's eight pages,
+// allocate and free one object so the extension's table changes too, and
+// take a checkpoint, which releases the oldest one held.
+func (sh shape) interval(i int) {
+	for _, t := range sh.targets {
+		sh.m.Mem.WriteU32(t, uint32(i))
+	}
+	p := sh.m.Proc
+	proc.Catch(func() {
+		defer p.Enter("shape_churn")()
+		p.Free(p.Malloc(64))
+	})
+	sh.m.Ckpt.Take()
+}
+
+// BenchmarkCheckpointFlatGuard enforces that a checkpoint costs what its
+// interval dirtied, not what the machine holds. Each interval writes eight
+// pages, changes the extension's table and takes a checkpoint (releasing
+// the oldest), and the cost of an interval must stay within 2x
+//
+//   - on a 16 MiB heap of ~10k live objects as on a 1 MiB heap of ~100,
+//     with the same eight pages dirtied; and
+//   - on apache's shape, a 64 KiB sbrk heap plus a 604 KiB block at
+//     MmapBase, as on an sbrk-only heap of the same page count.
+//
+// A checkpoint that copies the page table or the object table fails both:
+// the first by the heap's size, the second by the 32 MiB page-table gap
+// between the break and MmapBase. Interleaved rounds, best-of, one
+// re-measure — the repo's guard shape.
+func BenchmarkCheckpointFlatGuard(b *testing.B) {
+	const (
+		budget    = 2.0
+		intervals = 64
+		rounds    = 8
+	)
+	spread := []int{0, 32, 64, 96, 128, 160, 192, 224}
+	small := newShape(b, &shapeApp{objects: 100, size: 10 << 10}, spread, nil)
+	big := newShape(b, &shapeApp{objects: 10_000, size: 1664}, spread, nil)
+	// apache's shape: a 64 KiB heap of small objects and a 604 KiB block
+	// on the Map path, against the same block as three sbrk blocks.
+	front := []int{0, 4, 8, 12}
+	blk := []uint32{100 << 10, 250 << 10, 400 << 10, 550 << 10}
+	mapped := newShape(b, &shapeApp{objects: 28, size: 2000, blocks: 1, block: 604 << 10}, front, blk)
+	brk := newShape(b, &shapeApp{objects: 28, size: 2000, blocks: 3, block: 604 << 10 / 3}, front, blk)
+	if got := mapped.m.Mem.MmapBytes(); got == 0 {
+		b.Fatal("apache shape: the 604 KiB block is not on the Map path")
+	}
+	if got := brk.m.Mem.MmapBytes(); got != 0 {
+		b.Fatalf("sbrk-only shape maps %d bytes", got)
+	}
+
+	run := func(sh shape) time.Duration {
+		t0 := time.Now()
+		for i := 0; i < intervals; i++ {
+			sh.interval(i)
+		}
+		return time.Since(t0)
+	}
+	measure := func(base, other shape) float64 {
+		var bestBase, bestOther time.Duration
+		run(base) // warmup
+		run(other)
+		for r := 0; r < rounds; r++ {
+			if d := run(base); bestBase == 0 || d < bestBase {
+				bestBase = d
+			}
+			if d := run(other); bestOther == 0 || d < bestOther {
+				bestOther = d
+			}
+		}
+		return float64(bestOther) / float64(bestBase)
+	}
+	guard := func(name string, base, other shape) float64 {
+		growth := 0.0
+		for attempt := 0; attempt < 2; attempt++ {
+			growth = measure(base, other)
+			if growth <= budget {
+				break
+			}
+		}
+		b.ReportMetric(growth, name+"-x")
+		return growth
+	}
+
+	var heap, gap float64
+	for i := 0; i < b.N; i++ {
+		heap = guard("16MiB-vs-1MiB", small, big)
+		gap = guard("mapped-vs-brk", brk, mapped)
+	}
+	if heap > budget {
+		b.Fatalf("a checkpoint interval on a 16 MiB heap costs %.2fx its cost on a 1 MiB heap, budget %.1fx", heap, budget)
+	}
+	if gap > budget {
+		b.Fatalf("a checkpoint interval with a Map region at MmapBase costs %.2fx its cost on an sbrk-only heap of the same pages, budget %.1fx", gap, budget)
 	}
 }

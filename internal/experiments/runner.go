@@ -9,6 +9,8 @@
 package experiments
 
 import (
+	"time"
+
 	"firstaid/internal/allocext"
 	"firstaid/internal/app"
 	"firstaid/internal/callsite"
@@ -47,8 +49,9 @@ type RunConfig struct {
 
 // Measurement is the outcome of one configuration run.
 type Measurement struct {
-	Cycles    uint64 // simulated execution time
-	HeapPeak  uint64 // allocator peak payload bytes (incl. ext metadata)
+	Cycles    uint64        // simulated execution time
+	Wall      time.Duration // host time of Init plus the workload, checkpoints included
+	HeapPeak  uint64        // allocator peak payload bytes (incl. ext metadata)
 	CkptStats checkpoint.Stats
 }
 
@@ -81,6 +84,7 @@ func RunProgram(prog app.App, cfg RunConfig) Measurement {
 		mgr = checkpoint.NewManager(cfg.CheckpointCfg, mem, h, p, ext, log)
 	}
 
+	start := time.Now()
 	if f := proc.Catch(func() { prog.Init(p) }); f != nil {
 		panic("experiments: " + prog.Name() + " init faulted: " + f.Error())
 	}
@@ -100,7 +104,7 @@ func RunProgram(prog app.App, cfg RunConfig) Measurement {
 		}
 	}
 
-	meas := Measurement{Cycles: p.Clock(), HeapPeak: h.PeakBytes()}
+	meas := Measurement{Cycles: p.Clock(), Wall: time.Since(start), HeapPeak: h.PeakBytes()}
 	if mgr != nil {
 		meas.CkptStats = mgr.Stats()
 	}

@@ -46,8 +46,9 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // BenchmarkRestore measures the steady-state rollback loop of diagnosis:
-// dirty a handful of pages, rewind to the checkpoint, repeat. With the
-// slot journal and the page freelist the per-iteration cost is O(dirty)
+// dirty a handful of pages, rewind to the checkpoint, repeat. Restore
+// points the root back at the checkpoint's leaves and the leaf and page
+// freelists recycle what it drops, so the per-iteration cost is O(dirty)
 // and allocation-free regardless of heap size.
 func BenchmarkRestore(b *testing.B) {
 	const dirtyPages = 8
@@ -61,7 +62,7 @@ func BenchmarkRestore(b *testing.B) {
 					s.WriteU32(base+Addr(pg*PageSize), uint32(i))
 				}
 			}
-			// Warm the freelist and journal capacity.
+			// Warm the freelists.
 			for i := 0; i < 8; i++ {
 				touch(i)
 				s.Restore(snap)
@@ -162,8 +163,8 @@ func BenchmarkWordAccessGuard(b *testing.B) {
 
 // BenchmarkCloneCOWGuard enforces the validation-clone acceptance numbers
 // on a 16 MiB heap: CloneCOW must be >= 10x faster than the deep Clone and
-// allocate O(page-table pointers) — a handful of allocations (table slice,
-// mmap map, Space shell), not one per page.
+// allocate O(page-table root) — a handful of allocations (root slice and
+// Space shell), not one per page.
 func BenchmarkCloneCOWGuard(b *testing.B) {
 	const (
 		target    = 10.0
@@ -225,10 +226,10 @@ func BenchmarkCloneCOWGuard(b *testing.B) {
 // BenchmarkRestoreAllocGuard proves Restore is O(dirty), not O(pages): in
 // the steady-state rollback loop on a 16 MiB heap (4096 pages, 8 dirtied
 // per iteration) the bytes allocated per restore must be far below the 32
-// KiB page-table slice the old implementation rebuilt every time. The
-// journal replays 16 slots, the table and mmap map are reused in place,
-// and the freelist recycles the COW copies, so the remaining allocations
-// are amortized journal growth.
+// KiB page-table slice an O(pages) restore would rebuild every time.
+// Restore swaps the one root slot whose leaf was copied, the mmap map is
+// reused in place, and the leaf and page freelists recycle the COW copies,
+// so what remains is one small page header per COW copy.
 func BenchmarkRestoreAllocGuard(b *testing.B) {
 	const (
 		dirtyPages  = 8
@@ -246,7 +247,7 @@ func BenchmarkRestoreAllocGuard(b *testing.B) {
 			s.Restore(snap)
 		}
 	}
-	loop(32) // reach the freelist/journal steady state
+	loop(32) // reach the freelist steady state
 
 	bytesPer := 0.0
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,12 @@
 package vmem
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestCloneDeepCopies(t *testing.T) {
@@ -149,19 +153,29 @@ func TestCloneCOWDoesNotPerturbDirtyAccounting(t *testing.T) {
 	}
 }
 
-// TestCOWCloneStress is the -race stress test for the COW protocol: N
-// clones write into shared pages (and snapshot/restore on their own) while
-// the parent dirties the same pages and cycles snapshots. Every space must
-// end with exactly the bytes it wrote.
+// TestCOWCloneStress is the -race stress test for the COW protocol at both
+// table levels: N clones write into shared pages — some writes straddling
+// a leaf boundary — snapshot and restore on their own, and Map, fill and
+// Unmap regions that span leaves, while the parent dirties the same pages,
+// cycles snapshots and maps and unmaps regions of its own. Every space
+// must end with exactly the bytes it wrote.
 func TestCOWCloneStress(t *testing.T) {
 	const (
 		clones = 4
-		pages  = 32
+		pages  = 3 * leafPages / 2 // the heap spans a leaf boundary
 		iters  = 1500
+		region = (leafPages + 8) * PageSize
 	)
-	s := New(1 << 22)
+	s := New(64 << 20)
 	base, _ := s.Sbrk(pages * PageSize)
 	s.Fill(base, 0xEE, pages*PageSize)
+	// Where the heap crosses from its first leaf into the next.
+	boundary := Addr(leafPages*PageSize) - base%(leafPages*PageSize) + base
+	kept, err := s.Map(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Fill(kept, 0x77, region)
 
 	work := make([]*Space, clones)
 	for i := range work {
@@ -186,13 +200,58 @@ func TestCOWCloneStress(t *testing.T) {
 					t.Errorf("clone %d: read back %#x, %v", id, v, err)
 					return
 				}
+				if i%50 == 0 {
+					straddle := []byte{id, id, id, id, id, id, id, id}
+					if err := c.Write(boundary-4, straddle); err != nil {
+						t.Errorf("clone %d: write across leaf boundary: %v", id, err)
+						return
+					}
+					if got, _ := c.Read(boundary-4, 8); string(got) != string(straddle) {
+						t.Errorf("clone %d: read across leaf boundary: %v", id, got)
+						return
+					}
+				}
+				if i%150 == 0 {
+					m, err := c.Map(region)
+					if err != nil {
+						t.Errorf("clone %d: Map: %v", id, err)
+						return
+					}
+					c.Fill(m, id, region)
+					if v, err := c.ReadU32(m + region - 4); err != nil || v != uint32(id)*0x01010101 {
+						t.Errorf("clone %d: mapped region tail %#x, %v", id, v, err)
+						return
+					}
+					if err := c.Unmap(m); err != nil {
+						t.Errorf("clone %d: Unmap: %v", id, err)
+						return
+					}
+					if _, err := c.ReadU32(m); err == nil {
+						t.Errorf("clone %d: unmapped region still readable", id)
+						return
+					}
+				}
 			}
-		}(byte(i), c)
+			if v, err := c.ReadU32(kept + leafPages*PageSize); err != nil || v != 0x77777777 {
+				t.Errorf("clone %d: inherited mapping %#x, %v", id, v, err)
+			}
+		}(byte(i+1), c)
 	}
-	// The parent cycles snapshots and restores while the clones run.
+	// The parent cycles snapshots and restores while the clones run, and
+	// maps and unmaps regions that span leaves.
 	for i := 0; i < iters; i++ {
 		snap := s.Snapshot()
 		s.WriteU32(base+Addr(i%pages)*PageSize, uint32(i))
+		if i%40 == 0 {
+			m, err := s.Map(region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Fill(m, 0x99, region)
+			if i%80 == 0 {
+				s.Unmap(m)
+			}
+		}
 		if i%3 == 0 {
 			s.Restore(snap)
 		}
@@ -204,4 +263,163 @@ func TestCOWCloneStress(t *testing.T) {
 			t.Fatalf("parent page %d tail: %#x, %v (clone write leaked)", i, v, err)
 		}
 	}
+	if v, err := s.ReadU32(boundary - 4); err != nil || v != 0xEEEEEEEE {
+		t.Fatalf("parent word at the leaf boundary: %#x, %v (clone write leaked)", v, err)
+	}
+	if v, err := s.ReadU32(kept + region - 4); err != nil || v != 0x77777777 {
+		t.Fatalf("parent mapping tail: %#x, %v (clone write leaked)", v, err)
+	}
+}
+
+// TestQuickCOWMatchesDeepCopy is the differential property of the
+// two-level table: any interleaving of writes (some across leaf
+// boundaries), Sbrk, Map, Unmap, Snapshot, Restore, Release and CloneCOW
+// reads back exactly what a reference reads that runs the same operations
+// with the fast paths off and a deep Clone in place of every CloneCOW —
+// the SlowMemPaths configuration — down to faults and dirty-page counts.
+func TestQuickCOWMatchesDeepCopy(t *testing.T) {
+	type side struct {
+		spaces []*Space
+		snaps  [][]*Snapshot
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		heap := uint32(leafPages+rng.Intn(leafPages)) * PageSize
+		cow, ref := &side{}, &side{}
+		for _, sd := range []*side{cow, ref} {
+			s := New(16 << 20)
+			s.SetFastPaths(sd == cow)
+			s.Sbrk(heap)
+			sd.spaces, sd.snaps = []*Space{s}, [][]*Snapshot{nil}
+		}
+		regions := [][]Addr{nil} // live Map regions per space
+		fail := func(format string, args ...interface{}) bool {
+			t.Logf("seed %d: "+format, append([]interface{}{seed}, args...)...)
+			return false
+		}
+		for op := 0; op < 300; op++ {
+			k := rng.Intn(len(cow.spaces))
+			c, r := cow.spaces[k], ref.spaces[k]
+			switch x := rng.Intn(100); {
+			case x < 45: // write, often across a leaf boundary
+				var a Addr
+				if rng.Intn(3) == 0 {
+					a = HeapBase + Addr(leafPages*PageSize) - Addr(rng.Intn(16))
+				} else {
+					a = HeapBase + Addr(rng.Intn(int(c.Brk()-HeapBase)+PageSize))
+				}
+				if len(regions[k]) > 0 && rng.Intn(3) == 0 {
+					a = regions[k][rng.Intn(len(regions[k]))] + Addr(rng.Intn(2*PageSize))
+				}
+				buf := make([]byte, 1+rng.Intn(2*PageSize))
+				rng.Read(buf)
+				ec, er := c.Write(a, buf), r.Write(a, buf)
+				if (ec == nil) != (er == nil) {
+					return fail("write %#x+%d: %v vs %v", a, len(buf), ec, er)
+				}
+			case x < 50:
+				n := uint32(rng.Intn(leafPages)) * PageSize
+				ac, ec := c.Sbrk(n)
+				ar, er := r.Sbrk(n)
+				if ac != ar || (ec == nil) != (er == nil) {
+					return fail("sbrk %d: %#x %v vs %#x %v", n, ac, ec, ar, er)
+				}
+			case x < 58:
+				n := uint32(1+rng.Intn(leafPages+8)) * PageSize
+				ac, ec := c.Map(n)
+				ar, er := r.Map(n)
+				if ac != ar || (ec == nil) != (er == nil) {
+					return fail("map %d: %#x %v vs %#x %v", n, ac, ec, ar, er)
+				}
+				if ec == nil {
+					regions[k] = append(regions[k], ac)
+				}
+			case x < 63:
+				if len(regions[k]) == 0 {
+					continue
+				}
+				i := rng.Intn(len(regions[k]))
+				a := regions[k][i]
+				regions[k] = append(regions[k][:i], regions[k][i+1:]...)
+				ec, er := c.Unmap(a), r.Unmap(a)
+				if (ec == nil) != (er == nil) {
+					return fail("unmap %#x: %v vs %v", a, ec, er)
+				}
+			case x < 75:
+				cow.snaps[k] = append(cow.snaps[k], c.Snapshot())
+				ref.snaps[k] = append(ref.snaps[k], r.Snapshot())
+			case x < 85:
+				if len(cow.snaps[k]) == 0 {
+					continue
+				}
+				i := rng.Intn(len(cow.snaps[k]))
+				c.Restore(cow.snaps[k][i])
+				r.Restore(ref.snaps[k][i])
+				// Restore rewinds the Map table too; forget regions the
+				// check below finds gone.
+				kept := regions[k][:0]
+				for _, a := range regions[k] {
+					if _, ok := c.MappedRegion(a); ok {
+						kept = append(kept, a)
+					}
+				}
+				regions[k] = kept
+			case x < 92:
+				if len(cow.snaps[k]) == 0 {
+					continue
+				}
+				i := rng.Intn(len(cow.snaps[k]))
+				cow.snaps[k][i].Release()
+				ref.snaps[k][i].Release()
+				cow.snaps[k] = append(cow.snaps[k][:i], cow.snaps[k][i+1:]...)
+				ref.snaps[k] = append(ref.snaps[k][:i], ref.snaps[k][i+1:]...)
+			default:
+				if len(cow.spaces) == 4 {
+					continue
+				}
+				cow.spaces = append(cow.spaces, c.CloneCOW())
+				ref.spaces = append(ref.spaces, r.Clone())
+				cow.snaps = append(cow.snaps, nil)
+				ref.snaps = append(ref.snaps, nil)
+				regions = append(regions, append([]Addr(nil), regions[k]...))
+			}
+			if c.DirtyPages() != r.DirtyPages() {
+				return fail("op %d: dirty pages %d vs %d", op, c.DirtyPages(), r.DirtyPages())
+			}
+		}
+		for k := range cow.spaces {
+			if msg := sameImage(cow.spaces[k], ref.spaces[k]); msg != "" {
+				return fail("space %d: %s", k, msg)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameImage compares two spaces page by page over both zones: which pages
+// are mapped, and what they hold.
+func sameImage(a, b *Space) string {
+	if a.Brk() != b.Brk() || a.MmapBytes() != b.MmapBytes() {
+		return fmt.Sprintf("brk %#x/%#x, mmap bytes %d/%d", a.Brk(), b.Brk(), a.MmapBytes(), b.MmapBytes())
+	}
+	end := max(a.mmapCursor, b.mmapCursor)
+	for pg := HeapBase; pg < end; pg += PageSize {
+		if pg >= a.Brk() && pg < MmapBase {
+			pg = MmapBase - PageSize
+			continue
+		}
+		n := PageSize
+		if pg < MmapBase && a.Brk()-pg < PageSize {
+			n = int(a.Brk() - pg)
+		}
+		da, ea := a.Read(pg, n)
+		db, eb := b.Read(pg, n)
+		if (ea == nil) != (eb == nil) || !bytes.Equal(da, db) {
+			return fmt.Sprintf("page %#x differs (errors %v, %v)", pg, ea, eb)
+		}
+	}
+	return ""
 }

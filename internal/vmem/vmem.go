@@ -10,6 +10,26 @@
 // snapshot — exactly the fork/COW behaviour of the Flashback kernel module
 // used by the paper.
 //
+// # Page table
+//
+// The page table has two levels, like a hardware MMU's: a root of leaves,
+// each leaf holding the page pointers of leafPages consecutive pages, and
+// no leaf where nothing is mapped (the gap between the break and MmapBase
+// costs nothing). Leaves and pages are both reference counted and shared
+// copy-on-write, which is what makes every whole-table operation cost what
+// was dirtied instead of what is mapped:
+//
+//   - Snapshot and CloneCOW copy the root and take one reference per leaf;
+//   - the first write, Sbrk, Map or Unmap that lands in a shared leaf
+//     copies that leaf (its pages gain a reference each), and the first
+//     write to a shared page copies the page — copy, then drop the old
+//     reference, at both levels;
+//   - Restore points the root back at the snapshot's leaves, so it touches
+//     only the root slots that differ, and Release drops the snapshot's
+//     leaf references;
+//   - page-frame and leaf freelists recycle what those drops free, so the
+//     diagnose/rollback loop stops hammering the Go allocator.
+//
 // # Fast paths
 //
 // The Space is the hot path under every boundary-tag operation of the
@@ -19,17 +39,10 @@
 //     owned, writable page data), so an aligned ReadU32/WriteU32 on an
 //     already-writable page is a bounds check and a direct 4-byte
 //     load/store — no mapped() range scan, no per-byte loop;
-//   - page reference counts are atomic, which makes CloneCOW possible: a
-//     clone shares every page with its parent and copies only on write, so
-//     handing a machine snapshot to a validation goroutine is O(page-table
-//     pointers) instead of O(heap bytes);
-//   - Restore is O(pages changed since the snapshot): an append-only slot
-//     journal records every page-table mutation while snapshots are live,
-//     and Restore replays only the journal tail, reusing the existing page
-//     table and mmap map instead of reallocating them;
-//   - a small page freelist recycles page frames whose refcount hits zero,
-//     so the COW copies of a diagnose/rollback loop stop hammering the Go
-//     allocator.
+//   - leaf and page reference counts are atomic, which makes CloneCOW
+//     possible: a clone shares every leaf with its parent and copies only
+//     on write, so handing a machine snapshot to a validation goroutine
+//     costs a root copy instead of O(heap bytes).
 package vmem
 
 import (
@@ -50,6 +63,16 @@ type Addr = uint32
 const PageSize = 4096
 
 const pageShift = 12
+
+// A leaf of the page table covers leafPages consecutive pages (256 KiB of
+// address space): small enough that copying one for a single dirtied page
+// is cheap, large enough that the root stays a few hundred slots for the
+// evaluation's address spaces.
+const (
+	leafShift = 6
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+)
 
 // HeapBase is the address at which Sbrk-managed memory begins. Address 0 is
 // kept unmapped so that nil-pointer dereferences fault, and a guard region
@@ -85,19 +108,29 @@ func (e *AccessError) Error() string {
 // Unwrap reports the underlying sentinel so errors.Is(err, ErrUnmapped) works.
 func (e *AccessError) Unwrap() error { return ErrUnmapped }
 
-// page is a unit of COW sharing. refs counts how many page tables (live
-// Spaces plus outstanding Snapshots) reference the data; a write through a
-// page with refs > 1 first copies it.
+// page is a unit of COW sharing. refs counts how many leaves reference the
+// data; a write through a page with refs > 1 first copies it.
 //
-// refs is atomic because pages are shared across Spaces by CloneCOW: the
-// parent machine and its validation clones COW-fault on the same pages from
-// different goroutines. The COW protocol keeps that race-clean: a copier
-// finishes reading p.data BEFORE dropping its reference, and a writer
-// mutates p.data in place only after observing refs == 1 — the atomic
-// decrement/load pair orders the copy's reads before the in-place writes.
+// refs is atomic because leaves, and so pages, are shared across Spaces by
+// CloneCOW: the parent machine and its validation clones COW-fault on the
+// same pages from different goroutines. The COW protocol keeps that
+// race-clean: a copier finishes reading p.data BEFORE dropping its
+// reference, and a writer mutates p.data in place only after observing
+// refs == 1 — the atomic decrement/load pair orders the copy's reads before
+// the in-place writes.
 type page struct {
 	data []byte
 	refs atomic.Int32
+}
+
+// leaf is one second-level page table: the pages of leafPages consecutive
+// page numbers. refs counts the roots (live Spaces and Snapshots) holding
+// it; a Space mutates a leaf in place only while it holds the only
+// reference, under the same copy-then-decrement protocol as page.
+type leaf struct {
+	pages [leafPages]*page
+	n     int // non-nil entries of pages
+	refs  atomic.Int32
 }
 
 // MmapBase is the address at which Map-managed regions begin. The break
@@ -105,26 +138,31 @@ type page struct {
 // zone is ample once the allocator diverts big blocks to Map.
 const MmapBase Addr = 0x0200_0000
 
-// freelistCap bounds the per-Space page freelist (256 frames = 1 MiB).
-// Frames beyond the cap fall back to the garbage collector.
-const freelistCap = 256
+// freelistCap bounds the per-Space page freelist (256 frames = 1 MiB), and
+// leafFreelistCap its leaf freelist. Frames and leaves beyond the caps fall
+// back to the garbage collector.
+const (
+	freelistCap     = 256
+	leafFreelistCap = 64
+)
 
 // Space is a virtual address space. It is not safe for concurrent use; the
 // simulated machine is single-threaded, as were the paper's per-process
-// runtimes. Distinct Spaces that share pages via CloneCOW may run on
+// runtimes. Distinct Spaces that share leaves via CloneCOW may run on
 // different goroutines concurrently.
 type Space struct {
-	pages    []*page // indexed by page number; nil entries are unmapped
+	root     []*leaf // indexed by page number >> leafShift; nil where nothing is mapped
+	resident uint64  // mapped pages
 	brk      Addr    // current program break (end of mapped heap)
 	limit    Addr    // maximum break
 	dirty    uint64  // pages copied (COW faults) since last TakeDirty
 	everMapd uint64  // total pages ever mapped, for stats
 
 	// Micro-TLB: the last translated page whose frame this Space owns
-	// exclusively (refs == 1 at fill time). A hit lets WriteU32 store
-	// directly without the refcount check or COW test; any operation
-	// that shares pages or rewrites page-table slots invalidates it by
-	// nilling tlbData.
+	// exclusively (leaf and page both unshared at fill time). A hit lets
+	// WriteU32 store directly without the refcount checks or COW test; any
+	// operation that shares leaves or rewrites page-table slots invalidates
+	// it by nilling tlbData.
 	tlbPage uint32
 	tlbData []byte
 
@@ -133,25 +171,30 @@ type Space struct {
 	// tests flip this to prove the fast paths change no semantics.
 	slow bool
 
-	// snaps tracks this Space's live (unreleased) snapshots; journal is
-	// the append-only log of page-table slots mutated while any snapshot
-	// is live. Restore replays journal[snap.pos:] instead of rebuilding
-	// the whole table. The journal resets when the last snapshot is
-	// released and compacts as old snapshots go away.
-	snaps   []*Snapshot
-	journal []uint32
+	// snaps tracks this Space's live (unreleased) snapshots, for the
+	// dirty-page rule (sharedWithOwnSnapshot).
+	snaps []*Snapshot
 
 	// free recycles page frames whose refcount reached zero; COW copies
-	// reuse them as-is, Sbrk/Map reuse them after zeroing.
-	free [][]byte
+	// reuse them as-is, Sbrk/Map reuse them after zeroing. freeLeaves
+	// recycles emptied leaves the same way.
+	free       [][]byte
+	freeLeaves []*leaf
 
 	mmapCursor Addr            // next Map placement
 	mmaps      map[Addr]uint32 // live Map regions: start → length (bytes)
 	mmapBytes  uint64          // total bytes currently mapped via Map
 	budget     uint64          // total memory budget (sbrk + Map)
 
+	// mmapsShared marks mmaps as shared with a snapshot or a clone, which
+	// then hold the same map: Map and Unmap copy it before their first
+	// change. Snapshots and clones thus never copy the table, which grows
+	// with live mappings (one per guard-tier slot), not with an interval's
+	// changes.
+	mmapsShared bool
+
 	// mmapEpoch changes on every Map/Unmap; a snapshot records it so
-	// Restore can skip rebuilding the mmaps table when it never changed.
+	// Restore can skip reinstating the mmaps table when it never changed.
 	// mmapSeq is the monotonic generator (never rewound by Restore, so a
 	// reused epoch value always denotes the same table contents).
 	mmapEpoch uint64
@@ -214,7 +257,7 @@ func (s *Space) MappedBytes() uint64 { return uint64(s.brk - HeapBase) }
 // EverMapped returns the total number of pages this space has ever mapped.
 func (s *Space) EverMapped() uint64 { return s.everMapd }
 
-// --- page-frame and journal plumbing ---------------------------------------------
+// --- page-frame and leaf plumbing -------------------------------------------------
 
 // newPage returns a fresh page, recycling a freelist frame when possible.
 // Sbrk/Map pass zero=true (the OS delivers zero-filled pages); the COW copy
@@ -249,25 +292,124 @@ func (s *Space) decref(p *page) {
 	}
 }
 
-// noteSlotChange records a page-table slot mutation for O(dirty) Restore.
-// With no live snapshot there is nothing to rewind to, so the journal
-// stays empty and the call is a len check.
-func (s *Space) noteSlotChange(pn uint32) {
-	if len(s.snaps) > 0 {
-		s.journal = append(s.journal, pn)
+// newLeaf returns an empty leaf holding one reference, recycling a
+// freelist leaf when possible (dropLeaf empties a leaf before shelving it).
+func (s *Space) newLeaf() *leaf {
+	var l *leaf
+	if n := len(s.freeLeaves); n > 0 {
+		l = s.freeLeaves[n-1]
+		s.freeLeaves[n-1] = nil
+		s.freeLeaves = s.freeLeaves[:n-1]
+	} else {
+		l = &leaf{}
+	}
+	l.refs.Store(1)
+	return l
+}
+
+// dropLeaf drops one reference to l. The holder that drops the last one
+// releases the leaf's pages and shelves the emptied leaf; as with decref,
+// the atomic RMW orders every other holder's reads of l.pages first.
+func (s *Space) dropLeaf(l *leaf) {
+	if l.refs.Add(-1) != 0 {
+		return
+	}
+	for i, p := range l.pages {
+		if p != nil {
+			s.decref(p)
+			l.pages[i] = nil
+		}
+	}
+	l.n = 0
+	if len(s.freeLeaves) < leafFreelistCap {
+		s.freeLeaves = append(s.freeLeaves, l)
 	}
 }
 
+// pageAt returns the page mapped at page number pn, or nil.
+func (s *Space) pageAt(pn uint32) *page {
+	if li := pn >> leafShift; int(li) < len(s.root) {
+		if l := s.root[li]; l != nil {
+			return l.pages[pn&leafMask]
+		}
+	}
+	return nil
+}
+
+// writableLeaf returns root slot li's leaf ready for mutation: a leaf
+// shared with a snapshot or a clone is copied first, and an empty slot
+// gets a fresh leaf. The copy is bookkeeping, never dirt: its pages are
+// still shared, and the page copy that follows decides what is dirtied.
+// The slot must exist (growRoot).
+func (s *Space) writableLeaf(li uint32) *leaf {
+	l := s.root[li]
+	if l == nil {
+		l = s.newLeaf()
+		s.root[li] = l
+		return l
+	}
+	if l.refs.Load() > 1 {
+		nl := s.newLeaf()
+		nl.pages, nl.n = l.pages, l.n
+		for _, p := range nl.pages {
+			if p != nil {
+				p.refs.Add(1)
+			}
+		}
+		// Drop our reference only after the copy completes: a sibling
+		// holder that observes refs == 1 may mutate l in place.
+		s.dropLeaf(l)
+		s.root[li] = nl
+		l = nl
+	}
+	return l
+}
+
+// growRoot extends the root to hold need leaf slots. Growth reserves
+// doubling spare capacity: the Map zone's cursor only ever moves forward,
+// so exact-size reallocation would copy the root on every new leaf. Slots
+// past len are always nil (Restore clears the ones it truncates).
+func (s *Space) growRoot(need int) {
+	if need <= len(s.root) {
+		return
+	}
+	if need <= cap(s.root) {
+		s.root = s.root[:need]
+		return
+	}
+	c := 2 * cap(s.root)
+	if c < need {
+		// A jump past doubling (the first mapping at MmapBase) still
+		// reserves headroom for the mappings that follow it.
+		c = need + need/4
+	}
+	grown := make([]*leaf, need, c)
+	copy(grown, s.root)
+	s.root = grown
+}
+
+// mapPage installs a fresh zero-filled page at pn (whose root slot exists).
+func (s *Space) mapPage(pn uint32) {
+	l := s.writableLeaf(pn >> leafShift)
+	l.pages[pn&leafMask] = s.newPage(true)
+	l.n++
+	s.resident++
+	s.everMapd++
+}
+
 // sharedWithOwnSnapshot reports whether one of this Space's live snapshots
-// still references page p at slot pn. This is the dirty-accounting rule: a
-// COW fault counts as a dirtied page (and is traced) only when the copy
-// preserves checkpoint state — copies forced purely by a foreign CloneCOW
-// sharer are bookkeeping, not checkpoint retention, and counting them
-// would make COW statistics depend on validation-goroutine timing.
+// still references page p at page number pn. This is the dirty-accounting
+// rule: a COW fault counts as a dirtied page (and is traced) only when the
+// copy preserves checkpoint state — copies forced purely by a foreign
+// CloneCOW sharer are bookkeeping, not checkpoint retention, and counting
+// them would make COW statistics depend on validation-goroutine timing.
 func (s *Space) sharedWithOwnSnapshot(pn uint32, p *page) bool {
+	li := pn >> leafShift
 	for _, sn := range s.snaps {
-		if int(pn) < len(sn.pages) && sn.pages[pn] == p {
-			return true
+		if int(li) < len(sn.root) {
+			if l := sn.root[li]; l != nil && l.pages[pn&leafMask] == p {
+				return true
+			}
 		}
 	}
 	return false
@@ -288,12 +430,10 @@ func (s *Space) Sbrk(n uint32) (Addr, error) {
 	newBrk := Addr(end)
 	firstPage := pageNum(old)
 	lastPage := pageNum(newBrk - 1)
-	s.growPages(int(lastPage) + 1)
+	s.growRoot(int(lastPage>>leafShift) + 1)
 	for pn := firstPage; pn <= lastPage; pn++ {
-		if s.pages[pn] == nil {
-			s.pages[pn] = s.newPage(true)
-			s.everMapd++
-			s.noteSlotChange(pn)
+		if s.pageAt(pn) == nil {
+			s.mapPage(pn)
 		}
 	}
 	s.brk = newBrk
@@ -302,31 +442,6 @@ func (s *Space) Sbrk(n uint32) (Addr, error) {
 }
 
 func pageNum(a Addr) uint32 { return uint32(a) >> pageShift }
-
-// growPages extends the page table to hold need slots. The table length
-// tracks the highest mapped page exactly (Snapshot and clone depend on
-// that), but growth reserves doubling spare capacity: the Map zone's
-// cursor only ever moves forward, so exact-size reallocation would copy
-// the entire table on every mapping.
-func (s *Space) growPages(need int) {
-	if need <= len(s.pages) {
-		return
-	}
-	if need <= cap(s.pages) {
-		s.pages = s.pages[:need]
-		return
-	}
-	c := 2 * cap(s.pages)
-	if c < need {
-		// A jump past doubling (the first Map zone mapping crossing from
-		// the brk span to MmapBase's page) still reserves headroom, or the
-		// very next mapping would reallocate the whole table again.
-		c = need + need/4
-	}
-	grown := make([]*page, need, c)
-	copy(grown, s.pages)
-	s.pages = grown
-}
 
 // mapped reports whether the range [a, a+n) lies entirely within mapped
 // memory: below the break in the sbrk zone (strict, so stray accesses past
@@ -344,7 +459,7 @@ func (s *Space) mapped(a Addr, n int) bool {
 		return false
 	}
 	for pn := pageNum(a); pn <= pageNum(Addr(end-1)); pn++ {
-		if int(pn) >= len(s.pages) || s.pages[pn] == nil {
+		if s.pageAt(pn) == nil {
 			return false
 		}
 	}
@@ -364,6 +479,19 @@ func (s *Space) wordMapped(a Addr) bool {
 
 // MapError describes a failed Map/Unmap operation.
 var ErrBadUnmap = errors.New("vmem: unmap of address that is not a mapping start")
+
+// ownMmaps makes the mmaps table private before Map or Unmap changes it.
+func (s *Space) ownMmaps() {
+	if !s.mmapsShared {
+		return
+	}
+	m := make(map[Addr]uint32, len(s.mmaps)+1)
+	for k, v := range s.mmaps {
+		m[k] = v
+	}
+	s.mmaps = m
+	s.mmapsShared = false
+}
 
 // Map allocates a fresh page-aligned region of at least n bytes in the Map
 // zone, zero-filled, with an unmapped guard page after it (so overruns
@@ -385,12 +513,11 @@ func (s *Space) Map(n uint32) (Addr, error) {
 	}
 	firstPage := pageNum(start)
 	lastPage := pageNum(Addr(end - 1))
-	s.growPages(int(lastPage) + 1)
+	s.growRoot(int(lastPage>>leafShift) + 1)
 	for pn := firstPage; pn <= lastPage; pn++ {
-		s.pages[pn] = s.newPage(true)
-		s.everMapd++
-		s.noteSlotChange(pn)
+		s.mapPage(pn)
 	}
+	s.ownMmaps()
 	s.mmapCursor = Addr(end) + PageSize // skip a guard page
 	s.mmaps[start] = length
 	s.mmapBytes += uint64(length)
@@ -401,19 +528,29 @@ func (s *Space) Map(n uint32) (Addr, error) {
 }
 
 // Unmap releases a region returned by Map. Subsequent accesses fault — the
-// immediate-SIGSEGV use-after-free behaviour of munmapped memory.
+// immediate-SIGSEGV use-after-free behaviour of munmapped memory. A leaf
+// left empty leaves the root.
 func (s *Space) Unmap(start Addr) error {
 	length, ok := s.mmaps[start]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadUnmap, start)
 	}
 	for pn := pageNum(start); pn <= pageNum(start+length-1); pn++ {
-		if p := s.pages[pn]; p != nil {
-			s.pages[pn] = nil
-			s.noteSlotChange(pn)
-			s.decref(p)
+		if s.pageAt(pn) == nil {
+			continue
+		}
+		li := pn >> leafShift
+		l := s.writableLeaf(li)
+		s.decref(l.pages[pn&leafMask])
+		l.pages[pn&leafMask] = nil
+		l.n--
+		s.resident--
+		if l.n == 0 {
+			s.root[li] = nil
+			s.dropLeaf(l)
 		}
 	}
+	s.ownMmaps()
 	delete(s.mmaps, start)
 	s.mmapBytes -= uint64(length)
 	s.mmapSeq++
@@ -449,18 +586,20 @@ func (s *Space) ReadInto(a Addr, buf []byte) error {
 	for off < len(buf) {
 		pn := pageNum(a + Addr(off))
 		po := int(a+Addr(off)) & (PageSize - 1)
-		n := copy(buf[off:], s.pages[pn].data[po:])
+		n := copy(buf[off:], s.pageAt(pn).data[po:])
 		off += n
 	}
 	return nil
 }
 
 // writablePage returns the page's data ready for mutation, performing the
-// copy-on-write if the page is shared, and fills the micro-TLB: once this
-// returns, the Space owns the frame exclusively until the next Snapshot,
-// Restore, Map/Unmap, Sbrk or CloneCOW invalidates the entry.
+// copy-on-write if the leaf or the page is shared, and fills the micro-TLB:
+// once this returns, the Space owns the frame exclusively until the next
+// Snapshot, Restore, Map/Unmap, Sbrk or CloneCOW invalidates the entry.
 func (s *Space) writablePage(pn uint32) []byte {
-	p := s.pages[pn]
+	l := s.writableLeaf(pn >> leafShift)
+	i := pn & leafMask
+	p := l.pages[i]
 	if p.refs.Load() > 1 {
 		np := s.newPage(false)
 		copy(np.data, p.data)
@@ -474,8 +613,7 @@ func (s *Space) writablePage(pn uint32) []byte {
 		// Space that observes refs == 1 may immediately write p.data in
 		// place, and the atomic ordering makes our reads happen first.
 		s.decref(p)
-		s.pages[pn] = np
-		s.noteSlotChange(pn)
+		l.pages[i] = np
 		p = np
 	}
 	if !s.slow {
@@ -533,17 +671,15 @@ func (s *Space) Fill(a Addr, b byte, n int) error {
 
 // ReadU32 loads a little-endian 32-bit word. Aligned loads from a resident
 // page — the boundary-tag case — take a direct fast path: TLB hit or one
-// page-table probe, then a 4-byte load.
+// two-level page-table probe, then a 4-byte load.
 func (s *Space) ReadU32(a Addr) (uint32, error) {
 	if a&3 == 0 && !s.slow && s.wordMapped(a) {
 		pn := a >> pageShift
 		if s.tlbData != nil && pn == s.tlbPage {
 			return binary.LittleEndian.Uint32(s.tlbData[a&(PageSize-1):]), nil
 		}
-		if int(pn) < len(s.pages) {
-			if p := s.pages[pn]; p != nil {
-				return binary.LittleEndian.Uint32(p.data[a&(PageSize-1):]), nil
-			}
+		if p := s.pageAt(pn); p != nil {
+			return binary.LittleEndian.Uint32(p.data[a&(PageSize-1):]), nil
 		}
 		return 0, s.faultAccess(a, 4, false)
 	}
@@ -570,7 +706,7 @@ func (s *Space) WriteU32(a Addr, v uint32) error {
 			binary.LittleEndian.PutUint32(s.tlbData[a&(PageSize-1):], v)
 			return nil
 		}
-		if int(pn) < len(s.pages) && s.pages[pn] != nil {
+		if s.pageAt(pn) != nil {
 			binary.LittleEndian.PutUint32(s.writablePage(pn)[a&(PageSize-1):], v)
 			return nil
 		}
@@ -606,104 +742,109 @@ func (s *Space) DirtyPages() uint64 { return s.dirty }
 // using the Space.
 func (s *Space) Clone() *Space {
 	cp := s.cloneShell()
-	for i, p := range s.pages {
-		if p != nil {
-			np := &page{data: append([]byte(nil), p.data...)}
-			np.refs.Store(1)
-			cp.pages[i] = np
+	cp.mmaps = make(map[Addr]uint32, len(s.mmaps))
+	for k, v := range s.mmaps {
+		cp.mmaps[k] = v
+	}
+	for li, l := range s.root {
+		if l == nil {
+			continue
 		}
+		nl := &leaf{n: l.n}
+		nl.refs.Store(1)
+		for i, p := range l.pages {
+			if p != nil {
+				np := &page{data: append([]byte(nil), p.data...)}
+				np.refs.Store(1)
+				nl.pages[i] = np
+			}
+		}
+		cp.root[li] = nl
 	}
 	return cp
 }
 
-// CloneCOW returns an independent Space that shares every page with s
-// copy-on-write: setup is O(page-table pointers) — the paper's fork-like
-// snapshot — and each side copies a page the first time it writes it. The
-// clone may run on another goroutine immediately (the parallel validation
-// substrate). CloneCOW must be called while no other goroutine is using s.
+// CloneCOW returns an independent Space that shares every leaf with s
+// copy-on-write: setup copies the root and takes a reference per leaf —
+// the paper's fork-like snapshot — and each side copies a leaf and a page
+// the first time it writes them. The clone may run on another goroutine
+// immediately (the parallel validation substrate). CloneCOW must be called
+// while no other goroutine is using s.
 func (s *Space) CloneCOW() *Space {
 	cp := s.cloneShell()
-	copy(cp.pages, s.pages)
-	for _, p := range cp.pages {
-		if p != nil {
-			p.refs.Add(1)
+	copy(cp.root, s.root)
+	for _, l := range cp.root {
+		if l != nil {
+			l.refs.Add(1)
 		}
 	}
-	// Our frames are shared now: a stale TLB entry would let WriteU32
+	cp.mmaps, cp.mmapsShared = s.mmaps, true
+	s.mmapsShared = true
+	// Our leaves are shared now: a stale TLB entry would let WriteU32
 	// bypass the COW check and scribble on the clone's view.
 	s.tlbData = nil
 	return cp
 }
 
-// cloneShell copies every non-page field of the Space: break, limit,
-// budget, stats and the mmap table. (An earlier version dropped budget and
-// everMapd, so any Map in a validation clone failed with ErrOutOfMemory —
-// see TestCloneKeepsBudget.)
+// cloneShell copies every field of the Space but the leaves and the mmap
+// table: break, limit, budget, stats and an empty root of the same length.
+// (An earlier version dropped budget and everMapd, so any Map in a
+// validation clone failed with ErrOutOfMemory — see TestCloneKeepsBudget.)
 func (s *Space) cloneShell() *Space {
-	cp := &Space{
-		pages:      make([]*page, len(s.pages)),
+	return &Space{
+		root:       make([]*leaf, len(s.root)),
+		resident:   s.resident,
 		brk:        s.brk,
 		limit:      s.limit,
 		everMapd:   s.everMapd,
 		slow:       s.slow,
 		mmapCursor: s.mmapCursor,
-		mmaps:      make(map[Addr]uint32, len(s.mmaps)),
 		mmapBytes:  s.mmapBytes,
 		budget:     s.budget,
 		mmapEpoch:  s.mmapEpoch,
 		mmapSeq:    s.mmapSeq,
 	}
-	for k, v := range s.mmaps {
-		cp.mmaps[k] = v
-	}
-	return cp
 }
 
-// Snapshot captures the current contents of the Space. Taking a snapshot is
-// O(pages) pointer work; page data is shared copy-on-write, so the memory
-// cost of holding a snapshot is the number of pages subsequently dirtied —
-// the quantity reported in Table 7 of the paper.
+// Snapshot captures the current contents of the Space. Taking a snapshot
+// copies the root and takes a reference per leaf; leaves and pages are
+// shared copy-on-write, so the memory cost of holding a snapshot is the
+// number of pages subsequently dirtied — the quantity reported in Table 7
+// of the paper.
 type Snapshot struct {
 	owner      *Space
-	pages      []*page
-	captured   uint64 // non-nil page count at snapshot time
-	pos        int    // owner journal position at snapshot time
+	root       []*leaf
+	captured   uint64 // mapped page count at snapshot time
 	brk        Addr
 	mmapCursor Addr
-	mmaps      map[Addr]uint32
+	mmaps      map[Addr]uint32 // shared with the Space until it maps or unmaps
 	mmapBytes  uint64
 	mmapEpoch  uint64
 }
 
 // Snapshot records the current state for a later Restore.
 func (s *Space) Snapshot() *Snapshot {
-	pages := make([]*page, len(s.pages))
-	copy(pages, s.pages)
-	var captured uint64
-	for _, p := range pages {
-		if p != nil {
-			p.refs.Add(1)
-			captured++
+	root := make([]*leaf, len(s.root))
+	copy(root, s.root)
+	for _, l := range root {
+		if l != nil {
+			l.refs.Add(1)
 		}
 	}
-	s.trc.Emit(trace.KSnapshot, captured, 0)
-	mmaps := make(map[Addr]uint32, len(s.mmaps))
-	for k, v := range s.mmaps {
-		mmaps[k] = v
-	}
+	s.trc.Emit(trace.KSnapshot, s.resident, 0)
+	s.mmapsShared = true
 	snap := &Snapshot{
 		owner:      s,
-		pages:      pages,
-		captured:   captured,
-		pos:        len(s.journal),
+		root:       root,
+		captured:   s.resident,
 		brk:        s.brk,
 		mmapCursor: s.mmapCursor,
-		mmaps:      mmaps,
+		mmaps:      s.mmaps,
 		mmapBytes:  s.mmapBytes,
 		mmapEpoch:  s.mmapEpoch,
 	}
 	s.snaps = append(s.snaps, snap)
-	// Every frame is shared with the snapshot now; the TLB's "exclusively
+	// Every leaf is shared with the snapshot now; the TLB's "exclusively
 	// owned" premise no longer holds.
 	s.tlbData = nil
 	return snap
@@ -713,113 +854,55 @@ func (s *Space) Snapshot() *Snapshot {
 // valid and may be restored again (diagnosis rolls back to the same
 // checkpoint many times).
 //
-// Cost is O(page-table slots changed since the snapshot was taken), not
-// O(pages): the slot journal names exactly the slots that may differ, and
-// the existing page table and mmap map are reused in place. The slots a
-// Restore rewinds are themselves journaled so that other live snapshots
-// stay restorable.
+// Cost is O(root slots) plus the leaves dropped, not O(pages): the root is
+// pointed back at the snapshot's leaves, so only slots whose leaf was
+// copied, added or removed since the snapshot change, and the leaves they
+// drop go back to the freelists.
 func (s *Space) Restore(snap *Snapshot) {
 	s.tlbData = nil
-	if snap.owner == s && len(s.journal)-snap.pos < len(s.pages) {
-		// Replay the journal tail. Appends made by restoreSlot extend
-		// the slice beyond the captured window, so the iteration stays
-		// over the pre-restore entries.
-		tail := s.journal[snap.pos:]
-		for _, pn := range tail {
-			s.restoreSlot(pn, snap)
+	s.growRoot(len(snap.root))
+	for li, cur := range s.root {
+		var want *leaf
+		if li < len(snap.root) {
+			want = snap.root[li]
 		}
-	} else {
-		// Foreign snapshot or a journal tail longer than the table:
-		// sweep every slot (never worse than the old full rebuild).
-		if len(snap.pages) > len(s.pages) {
-			grown := make([]*page, len(snap.pages))
-			copy(grown, s.pages)
-			s.pages = grown
+		if cur == want {
+			continue
 		}
-		for pn := range s.pages {
-			s.restoreSlot(uint32(pn), snap)
+		if want != nil {
+			want.refs.Add(1)
+		}
+		s.root[li] = want
+		if cur != nil {
+			s.dropLeaf(cur)
 		}
 	}
+	s.root = s.root[:len(snap.root)]
+	s.resident = snap.captured
 	s.trc.Emit(trace.KRestore, snap.captured, 0)
 	s.brk = snap.brk
 	s.mmapCursor = snap.mmapCursor
 	if s.mmapEpoch != snap.mmapEpoch {
-		clear(s.mmaps)
-		for k, v := range snap.mmaps {
-			s.mmaps[k] = v
-		}
+		s.mmaps, s.mmapsShared = snap.mmaps, true
 		s.mmapBytes = snap.mmapBytes
 		s.mmapEpoch = snap.mmapEpoch
 	}
-	if snap.owner == s {
-		// The Space now matches the snapshot exactly, so its diff set is
-		// empty: advancing pos keeps the replayed tail from growing
-		// across the many restores of one checkpoint, and compaction can
-		// then drop journal entries no live snapshot reaches.
-		snap.pos = len(s.journal)
-		s.compactJournal()
-	}
 }
 
-// restoreSlot points slot pn back at the snapshot's page, adjusting
-// refcounts and journaling the change for sibling snapshots.
-func (s *Space) restoreSlot(pn uint32, snap *Snapshot) {
-	var want *page
-	if int(pn) < len(snap.pages) {
-		want = snap.pages[pn]
-	}
-	cur := s.pages[pn]
-	if cur == want {
-		return
-	}
-	if want != nil {
-		want.refs.Add(1)
-	}
-	s.pages[pn] = want
-	s.noteSlotChange(pn)
-	if cur != nil {
-		s.decref(cur)
-	}
-}
-
-// Release drops the snapshot's references so its pages can be collected,
-// and prunes the owner's journal. The snapshot must not be used afterwards.
+// Release drops the snapshot's leaf references so its pages can be
+// recycled. The snapshot must not be used afterwards.
 func (snap *Snapshot) Release() {
 	s := snap.owner
-	for _, p := range snap.pages {
-		if p != nil {
-			s.decref(p)
+	for _, l := range snap.root {
+		if l != nil {
+			s.dropLeaf(l)
 		}
 	}
-	snap.pages = nil
+	snap.root = nil
 	for i, sn := range s.snaps {
 		if sn == snap {
 			s.snaps = append(s.snaps[:i], s.snaps[i+1:]...)
 			break
-		}
-	}
-	if len(s.snaps) == 0 {
-		s.journal = s.journal[:0]
-		return
-	}
-	s.compactJournal()
-}
-
-// compactJournal drops the journal prefix that no live snapshot can reach
-// (entries before the oldest snapshot's position can never be replayed
-// again). The copy is amortized by requiring the dead prefix to be both
-// absolutely large and at least half the journal.
-func (s *Space) compactJournal() {
-	min := s.snaps[0].pos
-	for _, sn := range s.snaps[1:] {
-		if sn.pos < min {
-			min = sn.pos
-		}
-	}
-	if min > 1024 && min >= len(s.journal)/2 {
-		s.journal = append(s.journal[:0], s.journal[min:]...)
-		for _, sn := range s.snaps {
-			sn.pos -= min
 		}
 	}
 }

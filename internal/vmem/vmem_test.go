@@ -495,23 +495,39 @@ func TestFreelistPagesAreZeroed(t *testing.T) {
 	}
 }
 
-// TestJournalStaysBounded pins the compaction behaviour: the rollback loop
-// of a diagnosis session (dirty a few pages, restore, repeat — with the
-// checkpoint held live throughout) must not grow the slot journal without
-// bound, or restores would silently degrade to full-table sweeps.
-func TestJournalStaysBounded(t *testing.T) {
+// TestRestoreLoopStaysBounded pins what the rollback loop of a diagnosis
+// session (dirty a few pages, restore, repeat — with the checkpoint held
+// live throughout) leaves behind: the root keeps its length and points at
+// the snapshot's leaves again, each of those leaves is held by exactly the
+// Space and the snapshot, and the freelists stay within their caps. The
+// leaves the loop copies are recycled, not leaked, so restores cost the
+// same on the 5000th iteration as on the first.
+func TestRestoreLoopStaysBounded(t *testing.T) {
 	s := New(64 << 20)
 	base, _ := s.Sbrk(1 << 20)
 	snap := s.Snapshot()
 	defer snap.Release()
+	rootLen := len(s.root)
 	for i := 0; i < 5000; i++ {
 		for pg := 0; pg < 8; pg++ {
-			s.WriteU32(base+Addr(pg*PageSize), uint32(i))
+			s.WriteU32(base+Addr(pg*PageSize*leafPages/4), uint32(i))
 		}
 		s.Restore(snap)
 	}
-	if len(s.journal) > 4096 {
-		t.Fatalf("journal grew to %d entries over a repeated-restore loop", len(s.journal))
+	if len(s.root) != rootLen {
+		t.Fatalf("root grew from %d to %d slots over a repeated-restore loop", rootLen, len(s.root))
+	}
+	for li, l := range s.root {
+		if l != snap.root[li] {
+			t.Fatalf("root slot %d does not share the snapshot's leaf after Restore", li)
+		}
+		if l != nil && l.refs.Load() != 2 {
+			t.Fatalf("leaf %d held %d times, want 2 (Space and snapshot)", li, l.refs.Load())
+		}
+	}
+	if len(s.free) > freelistCap || len(s.freeLeaves) > leafFreelistCap {
+		t.Fatalf("freelists hold %d frames and %d leaves, caps %d and %d",
+			len(s.free), len(s.freeLeaves), freelistCap, leafFreelistCap)
 	}
 }
 
