@@ -61,10 +61,11 @@ bench-smoke:
 # cover is the coverage ratchet: the whole internal tree runs with a
 # coverage profile, the HTML render is kept as a CI artifact, and the
 # recovery pipeline's packages (core, the stage/speculation layer it was
-# decomposed into, and the replay log under the batched ingest path) and
-# the copy-on-write tables under every checkpoint and clone (vmem's page
-# table, allocext's object table) must not drop below the floors recorded
-# when each landed. Raise the floors when coverage rises; never lower them.
+# decomposed into, and the replay log under the batched ingest path), the
+# copy-on-write tables under every checkpoint and clone (vmem's page
+# table, allocext's object table) and the canary check every diagnosis
+# scan runs must not drop below the floors recorded when each landed.
+# Raise the floors when coverage rises; never lower them.
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -html=coverage.out -o coverage.html
@@ -73,7 +74,8 @@ cover:
 		-floor firstaid/internal/stages=94 \
 		-floor firstaid/internal/replay=85 \
 		-floor firstaid/internal/vmem=97 \
-		-floor firstaid/internal/allocext=70
+		-floor firstaid/internal/allocext=70 \
+		-floor firstaid/internal/canary=100
 
 # fuzz-smoke gives the fuzzers a bounded budget in CI on top of their
 # seed corpora (which plain `go test` already replays). The chaos corpus

@@ -65,16 +65,14 @@ func (c *Corruption) Corrupted() bool { return c != nil && len(c.Offsets) > 0 }
 // pattern. It returns nil when the region is intact. A region that cannot
 // be read (unmapped) is reported as fully corrupted, since that can only
 // happen if the heap structure itself was destroyed.
+//
+// The scan reads mem's page frames in place (vmem.Space.Mismatches), so
+// an intact region costs one page-table probe and one vectorized count per
+// page and allocates nothing.
 func Check(mem *vmem.Space, addr vmem.Addr, n int, pattern byte) *Corruption {
-	buf, err := mem.Read(addr, n)
+	offs, err := mem.Mismatches(addr, n, pattern)
 	if err != nil {
 		return &Corruption{Addr: addr, Len: n, Pattern: pattern, Offsets: []int{0}}
-	}
-	var offs []int
-	for i, b := range buf {
-		if b != pattern {
-			offs = append(offs, i)
-		}
 	}
 	if offs == nil {
 		return nil

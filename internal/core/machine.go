@@ -312,6 +312,14 @@ func (m *Machine) clone(track int) *Machine {
 	return clone
 }
 
+// Release drops the page-table leaf references of a finished clone — its
+// memory and its checkpoints' — so the machine it was cloned from owns
+// those leaves and pages alone again: the parent's next writes copy
+// nothing, and the frames it drops reach its freelists. Call it on the
+// parent's goroutine once the clone's goroutine has returned; the clone
+// must not be used afterwards.
+func (m *Machine) Release() { m.Mem.Release() }
+
 // SetCancel installs the speculation cancel flag; ReExecute polls it
 // between events. Call before the clone's goroutine starts.
 func (m *Machine) SetCancel(c *atomic.Bool) { m.cancel = c }

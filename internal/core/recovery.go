@@ -309,9 +309,9 @@ func (st *validateStage) Run(c *stages.Ctx) stages.Status {
 		clone.SetPatches(frozen)
 		cpClone := clone.Ckpt.Take()
 		pv := &pendingValidation{
-			rec:      rec,
-			done:     make(chan struct{}),
-			cloneTel: clone.Tel,
+			rec:   rec,
+			done:  make(chan struct{}),
+			clone: clone,
 		}
 		s.pending = append(s.pending, pv)
 		s.met.queueDepth.Set(int64(len(s.pending)))

@@ -151,12 +151,12 @@ type supMetrics struct {
 // pendingValidation tracks one asynchronous validation. The goroutine
 // fills rec.ValidationResult/ValidationWall and closes done; the main
 // thread applies the verdict (mark validated / revoke) when it collects.
-// The clone's telemetry registry rides along so the main thread can fold
-// the clone's counters into the parent race-free at collect time.
+// The clone rides along so the main thread can fold its counters into the
+// parent and release its memory race-free at collect time.
 type pendingValidation struct {
-	rec      *Recovery
-	done     chan struct{}
-	cloneTel *telemetry.Registry
+	rec   *Recovery
+	done  chan struct{}
+	clone *Machine
 }
 
 // NewSupervisor builds the machine, attaches the patch pool, and leaves the
@@ -510,10 +510,11 @@ func (s *Supervisor) collectValidations(block bool) {
 		})
 		s.applyValidation(rec)
 		s.finishRecovery(rec)
-		// Fold the clone's telemetry into the parent on the main
-		// goroutine, after the validation goroutine has closed done, so
-		// it never races with the clone.
-		s.M.Tel.Merge(pv.cloneTel)
+		// Fold the clone's telemetry into the parent and release its
+		// memory on the main goroutine, after the validation goroutine
+		// has closed done, so neither races with the clone.
+		s.M.Tel.Merge(pv.clone.Tel)
+		pv.clone.Release()
 	}
 	s.pending = remaining
 	s.met.queueDepth.Set(int64(len(s.pending)))

@@ -13,13 +13,17 @@ import (
 
 // ProbeMachine is a cloned machine a speculative hypothesis runs on. Its
 // methods are called from the hypothesis goroutine only, except SetCancel
-// (before launch) and SiteKey/Telemetry (after the goroutine has finished).
+// (before launch) and SiteKey/Telemetry/Release (after the goroutine has
+// finished).
 type ProbeMachine interface {
 	MarkHeap() error
 	ReExecute(cs *allocext.ChangeSet, until int) diagnosis.Outcome
 	SiteKey(id callsite.ID) callsite.Key
 	SetCancel(c *atomic.Bool)
 	Telemetry() *telemetry.Registry
+	// Release hands the clone's shared memory back to the source machine;
+	// SiteKey keeps working afterwards.
+	Release()
 }
 
 // CloneSource mints probe machines for the Speculator. All methods are
@@ -185,12 +189,15 @@ func (sp *Speculator) CancelAll() {
 	sp.inflight = sp.inflight[:0]
 }
 
-// retire absorbs a finished hypothesis's clone telemetry.
+// retire absorbs a finished hypothesis's clone telemetry and releases the
+// clone's memory, so the source machine stops copying pages the dead clone
+// would otherwise share forever.
 func (sp *Speculator) retire(h *hypothesis) {
 	sp.active.Add(-1)
 	if t := h.pm.Telemetry(); t != nil && sp.tel != nil {
 		sp.tel.Merge(t)
 	}
+	h.pm.Release()
 }
 
 // translate rewrites the outcome's manifest call-sites from clone IDs to

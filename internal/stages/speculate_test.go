@@ -26,8 +26,9 @@ type fakeProbe struct {
 	markErr error
 	tel     *telemetry.Registry
 
-	cancel *atomic.Bool
-	marked atomic.Bool
+	cancel   *atomic.Bool
+	marked   atomic.Bool
+	released int // written on the supervisor goroutine, after the probe finished
 }
 
 func (p *fakeProbe) MarkHeap() error {
@@ -48,6 +49,7 @@ func (p *fakeProbe) ReExecute(cs *allocext.ChangeSet, until int) diagnosis.Outco
 func (p *fakeProbe) SiteKey(id callsite.ID) callsite.Key { return p.sites.Key(id) }
 func (p *fakeProbe) SetCancel(c *atomic.Bool)            { p.cancel = c }
 func (p *fakeProbe) Telemetry() *telemetry.Registry      { return p.tel }
+func (p *fakeProbe) Release()                            { p.released++ }
 
 // fakeSource implements stages.CloneSource over a queue of fake probes.
 type fakeSource struct {
@@ -87,8 +89,8 @@ func (s *fakeSource) InternSite(k callsite.Key) callsite.ID { return s.sites.Int
 // the standby clone serves the first matching launch, other launches
 // roll back and clone, a consumed outcome arrives with its call-sites
 // translated into the source table, a hanging loser is torn down by
-// CancelAll, and the accounting (stats, counters, active gauge, in-flight
-// set) balances to zero.
+// CancelAll, every finished clone is released once, and the accounting
+// (stats, counters, active gauge, in-flight set) balances to zero.
 func TestSpeculatorRace(t *testing.T) {
 	cps := ladder(0, 1, 2)
 	probeSites := callsite.NewTable()
@@ -153,6 +155,13 @@ func TestSpeculatorRace(t *testing.T) {
 	}
 	if !standby.marked.Load() {
 		t.Fatal("standby hypothesis never ran its heap marking")
+	}
+	// Every finished clone, consumed or cancelled, hands its memory back
+	// exactly once.
+	for name, p := range map[string]*fakeProbe{"standby": standby, "winner": winner, "loser": loser} {
+		if p.released != 1 {
+			t.Fatalf("%s probe released %d times, want 1", name, p.released)
+		}
 	}
 
 	st := sp.Episode()

@@ -157,8 +157,11 @@ func TestCloneCOWDoesNotPerturbDirtyAccounting(t *testing.T) {
 // table levels: N clones write into shared pages — some writes straddling
 // a leaf boundary — snapshot and restore on their own, and Map, fill and
 // Unmap regions that span leaves, while the parent dirties the same pages,
-// cycles snapshots and maps and unmaps regions of its own. Every space
-// must end with exactly the bytes it wrote.
+// cycles snapshots and maps and unmaps regions of its own, and releases
+// short-lived clones of its own. The clones also read shared frames in
+// place (Mismatches). Every space must end with exactly the bytes it
+// wrote, and once every clone is released the parent must hold each of
+// its leaves and pages alone.
 func TestCOWCloneStress(t *testing.T) {
 	const (
 		clones = 4
@@ -235,6 +238,9 @@ func TestCOWCloneStress(t *testing.T) {
 			if v, err := c.ReadU32(kept + leafPages*PageSize); err != nil || v != 0x77777777 {
 				t.Errorf("clone %d: inherited mapping %#x, %v", id, v, err)
 			}
+			if offs, err := c.Mismatches(kept, region, 0x77); offs != nil || err != nil {
+				t.Errorf("clone %d: inherited mapping differs at %v, %v", id, offs, err)
+			}
 		}(byte(i+1), c)
 	}
 	// The parent cycles snapshots and restores while the clones run, and
@@ -256,8 +262,30 @@ func TestCOWCloneStress(t *testing.T) {
 			s.Restore(snap)
 		}
 		snap.Release()
+		if i%25 == 0 {
+			c := s.CloneCOW()
+			c.Snapshot()
+			c.WriteU32(base+Addr(i%pages)*PageSize, uint32(i))
+			c.Release()
+		}
 	}
 	wg.Wait()
+	for _, c := range work {
+		c.Release()
+	}
+	for li, l := range s.root {
+		if l == nil {
+			continue
+		}
+		if r := l.refs.Load(); r != 1 {
+			t.Fatalf("parent leaf %d has %d references after every clone was released", li, r)
+		}
+		for pi, p := range l.pages {
+			if p != nil && p.refs.Load() != 1 {
+				t.Fatalf("parent page %d of leaf %d has %d references after every clone was released", pi, li, p.refs.Load())
+			}
+		}
+	}
 	for i := 0; i < pages; i++ {
 		if v, err := s.ReadU32(base + Addr(i)*PageSize + 2048); err != nil || v != 0xEEEEEEEE {
 			t.Fatalf("parent page %d tail: %#x, %v (clone write leaked)", i, v, err)

@@ -42,10 +42,14 @@
 //   - leaf and page reference counts are atomic, which makes CloneCOW
 //     possible: a clone shares every leaf with its parent and copies only
 //     on write, so handing a machine snapshot to a validation goroutine
-//     costs a root copy instead of O(heap bytes).
+//     costs a root copy instead of O(heap bytes);
+//   - Mismatches, the canary check under every diagnosis scan, compares
+//     page frames in place: one page-table probe and one vectorized count
+//     per page, no copy, and no allocation for an intact range.
 package vmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -451,19 +455,23 @@ func (s *Space) mapped(a Addr, n int) bool {
 	if n <= 0 {
 		return n == 0
 	}
-	end := uint64(a) + uint64(n)
-	if a < HeapBase || end > 0xFFFF_FFFF {
+	if !s.inZone(a, n) {
 		return false
 	}
-	if a < MmapBase && end > uint64(s.brk) {
-		return false
-	}
-	for pn := pageNum(a); pn <= pageNum(Addr(end-1)); pn++ {
+	for pn := pageNum(a); pn <= pageNum(a+Addr(n-1)); pn++ {
 		if s.pageAt(pn) == nil {
 			return false
 		}
 	}
 	return true
+}
+
+// inZone is mapped's bounds test for a nonempty range: inside the address
+// space, and below the break when it starts in the sbrk zone. Page
+// presence is left to the caller.
+func (s *Space) inZone(a Addr, n int) bool {
+	end := uint64(a) + uint64(n)
+	return a >= HeapBase && end <= 0xFFFF_FFFF && (a >= MmapBase || end <= uint64(s.brk))
 }
 
 // wordMapped is the aligned-word form of mapped: a 4-byte access at an
@@ -590,6 +598,59 @@ func (s *Space) ReadInto(a Addr, buf []byte) error {
 		off += n
 	}
 	return nil
+}
+
+// Mismatches returns the offsets within [a, a+n) of the bytes that differ
+// from b, in ascending order, or nil when every byte equals b — the canary
+// integrity check. It reads the page frames in place: one page-table probe
+// and one vectorized count per page chunk, offsets collected only from a
+// chunk that differs, so an intact range allocates nothing. A range that
+// is not wholly mapped faults exactly as Read does (the same AccessError,
+// the same KPageFault record). With the fast paths off it copies the range
+// through Read and compares byte by byte, the reference the chaos
+// cross-check holds the walk to.
+func (s *Space) Mismatches(a Addr, n int, b byte) ([]int, error) {
+	if s.slow {
+		buf, err := s.Read(a, n)
+		if err != nil {
+			return nil, err
+		}
+		var offs []int
+		for i, c := range buf {
+			if c != b {
+				offs = append(offs, i)
+			}
+		}
+		return offs, nil
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n < 0 || !s.inZone(a, n) {
+		return nil, s.faultAccess(a, n, false)
+	}
+	pat := [1]byte{b}
+	var offs []int
+	for off := 0; off < n; {
+		cur := a + Addr(off)
+		p := s.pageAt(pageNum(cur))
+		if p == nil {
+			return nil, s.faultAccess(a, n, false)
+		}
+		chunk := p.data[int(cur)&(PageSize-1):]
+		if len(chunk) > n-off {
+			chunk = chunk[:n-off]
+		}
+		if bytes.Count(chunk, pat[:]) != len(chunk) {
+			for i, c := range chunk {
+				if c != b {
+					offs = append(offs, off+i)
+				}
+			}
+		}
+		off += len(chunk)
+	}
+	return offs, nil
 }
 
 // writablePage returns the page's data ready for mutation, performing the
@@ -784,6 +845,30 @@ func (s *Space) CloneCOW() *Space {
 	// bypass the COW check and scribble on the clone's view.
 	s.tlbData = nil
 	return cp
+}
+
+// Release drops every leaf reference the Space holds — its own root and
+// its live snapshots' — the CloneCOW dual of Snapshot.Release. Once a
+// finished clone is released, the Space it was cloned from holds its
+// leaves and pages alone again, so its next writes copy nothing, and the
+// frames it later drops reach its freelists instead of staying pinned by
+// a dead clone. Pages whose last reference the released Space held go to
+// its own freelists, which die with it. The Space and its snapshots must
+// not be used afterwards; Release must be called while no other goroutine
+// is using the Space.
+func (s *Space) Release() {
+	for len(s.snaps) > 0 {
+		s.snaps[len(s.snaps)-1].Release()
+	}
+	for li, l := range s.root {
+		if l != nil {
+			s.dropLeaf(l)
+			s.root[li] = nil
+		}
+	}
+	s.root = nil
+	s.resident = 0
+	s.tlbData = nil
 }
 
 // cloneShell copies every field of the Space but the leaves and the mmap
