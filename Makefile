@@ -60,9 +60,9 @@ bench-smoke:
 
 # cover is the coverage ratchet: the whole internal tree runs with a
 # coverage profile, the HTML render is kept as a CI artifact, and the
-# recovery pipeline's packages (core, the stage/speculation layer it was
-# decomposed into, and the replay log under the batched ingest path), the
-# copy-on-write tables under every checkpoint and clone (vmem's page
+# recovery path's packages (core, the diagnosis engine with its
+# speculative prober, and the replay log under the batched ingest path),
+# the copy-on-write tables under every checkpoint and clone (vmem's page
 # table, allocext's object table) and the canary check every diagnosis
 # scan runs must not drop below the floors recorded when each landed.
 # Raise the floors when coverage rises; never lower them.
@@ -71,7 +71,7 @@ cover:
 	$(GO) tool cover -html=coverage.out -o coverage.html
 	$(GO) run ./cmd/coverfloor -profile coverage.out \
 		-floor firstaid/internal/core=80 \
-		-floor firstaid/internal/stages=94 \
+		-floor firstaid/internal/diagnosis=89 \
 		-floor firstaid/internal/replay=85 \
 		-floor firstaid/internal/vmem=97 \
 		-floor firstaid/internal/allocext=70 \

@@ -118,9 +118,8 @@ type extState struct {
 	protected  []vmem.Addr             // sensitive-region objects (eager-validation registry)
 	marks      []markRange             // Phase-1 heap-marking regions
 	metaBytes  uint64                  // current metadata+padding overhead
-	metaPeak   uint64
-	padBytes   uint64 // current padding bytes (live + delayed objects)
-	padPeak    uint64 // peak concurrent padding bytes (Table 5)
+	padBytes   uint64                  // current padding bytes (live + delayed objects)
+	padPeak    uint64                  // peak concurrent padding bytes (Table 5)
 }
 
 // freedCap is the freed-address horizon: a free is remembered until
@@ -157,7 +156,6 @@ func (s *extState) clone() extState {
 		protected:  append([]vmem.Addr(nil), s.protected...),
 		marks:      append([]markRange(nil), s.marks...),
 		metaBytes:  s.metaBytes,
-		metaPeak:   s.metaPeak,
 		padBytes:   s.padBytes,
 		padPeak:    s.padPeak,
 	}
@@ -333,9 +331,6 @@ func (e *Ext) noteSeen(site callsite.ID, alloc bool) {
 // Triggers returns the lifetime patch trigger counts by application point.
 func (e *Ext) Triggers() map[callsite.ID]uint64 { return e.triggers }
 
-// ResetTriggers clears the lifetime trigger counters.
-func (e *Ext) ResetTriggers() { e.triggers = map[callsite.ID]uint64{} }
-
 // SetGuard attaches the sampled guard-page tier (nil detaches). Attach
 // before any allocation and before SetState: the guard's sampling-decision
 // state checkpoints together with the extension's.
@@ -433,9 +428,6 @@ func (e *Ext) DelayedObjects() int { return len(e.s.delayQ) }
 
 // MetaBytes returns the current metadata+padding overhead in bytes.
 func (e *Ext) MetaBytes() uint64 { return e.s.metaBytes }
-
-// MetaPeak returns the peak metadata+padding overhead.
-func (e *Ext) MetaPeak() uint64 { return e.s.metaPeak }
 
 // PadPeak returns the peak concurrent padding bytes (Table 5's padding
 // space overhead).
@@ -662,9 +654,6 @@ func (e *Ext) guardMalloc(n uint32, site callsite.ID, act AllocAction) (vmem.Add
 
 func (e *Ext) accountAlloc(o *Object) {
 	e.s.metaBytes += o.overhead()
-	if e.s.metaBytes > e.s.metaPeak {
-		e.s.metaPeak = e.s.metaBytes
-	}
 	if pad := uint64(o.PadFront) + uint64(o.PadBack); pad > 0 {
 		e.s.padBytes += pad
 		if e.s.padBytes > e.s.padPeak {
@@ -868,7 +857,7 @@ func (e *Ext) putObject(o *Object) {
 }
 
 // mutObject returns a writable record of the object at user, which must
-// exist. Records from Object, ObjectAt or the watch index are read-only.
+// exist. Records from Object or the watch index are read-only.
 func (e *Ext) mutObject(user vmem.Addr) *Object {
 	o, copied := e.s.objs.mut(user)
 	if copied {
@@ -1243,27 +1232,7 @@ func (e *Ext) dropMarksNear(base vmem.Addr, total uint32) {
 	e.s.marks = kept
 }
 
-// ClearMarks removes heap-marking state (when leaving Phase 1).
-func (e *Ext) ClearMarks() { e.s.marks = nil }
-
 // --- object queries -------------------------------------------------------------
-
-// ObjectAt returns the object whose user region or padding contains addr,
-// searching live and delay-freed objects.
-func (e *Ext) ObjectAt(addr vmem.Addr) *Object {
-	// Fast path: exact user address.
-	if o := e.s.objs.get(addr); o != nil {
-		return o
-	}
-	var found *Object
-	e.s.objs.each(func(o *Object) bool {
-		if addr >= o.Base && addr < o.Base+o.totalLen() {
-			found = o
-		}
-		return found == nil
-	})
-	return found
-}
 
 // Object returns the record for the exact user address, if any. The record
 // is read-only.
@@ -1278,20 +1247,6 @@ func (e *Ext) UserSize(user vmem.Addr) (uint32, bool) {
 		return o.UserSize, true
 	}
 	return 0, false
-}
-
-// LiveSites returns the deduplicated allocation call-sites of live objects.
-func (e *Ext) LiveSites() []callsite.ID {
-	seen := map[callsite.ID]bool{}
-	var out []callsite.ID
-	e.s.objs.each(func(o *Object) bool {
-		if !seen[o.AllocSite] {
-			seen[o.AllocSite] = true
-			out = append(out, o.AllocSite)
-		}
-		return true
-	})
-	return out
 }
 
 // --- validation-mode access instrumentation --------------------------------------

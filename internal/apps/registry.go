@@ -8,7 +8,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"firstaid/internal/app"
 )
@@ -67,12 +66,4 @@ func Describe(name string) string {
 		return r
 	}
 	return name + " | unknown"
-}
-
-// SortedNames returns Names in lexical order (for deterministic iteration
-// in tooling that doesn't need paper order).
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TestStageEquivalence is the differential pin for speculative recovery:
-// every accuracy-matrix cell runs twice on the same seed — once through the
-// serial stage pipeline and once with speculation racing the hypothesis
-// ladder on clones — and the two runs must be observationally identical.
+// every accuracy-matrix cell runs twice on the same seed — once with serial
+// diagnosis and once with speculation racing the hypothesis ladder on
+// clones — and the two runs must be observationally identical.
 // "Identical" is checked at three levels:
 //
 //   - the speculative run independently satisfies the cell contract (the

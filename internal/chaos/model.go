@@ -59,18 +59,6 @@ func (m *Model) Apply(op Op) {
 	}
 }
 
-// LiveCount returns the number of live model objects (the slot table
-// itself is extra).
-func (m *Model) LiveCount() int {
-	n := 0
-	for _, s := range m.Slots {
-		if s.live() {
-			n++
-		}
-	}
-	return n
-}
-
 // OpsFromLog decodes a replay log back into the op stream, index-aligned
 // with event sequence numbers: ops[i] is nil-equivalent (ok=false ops are
 // returned as kind-invalid entries the model skips) when event i is not a

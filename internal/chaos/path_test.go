@@ -17,24 +17,42 @@ import (
 // phase's trace end record and its path step from one measurement. For
 // one recovery in each supervision shape, the diagnosis's path must name,
 // in order and with the same counts, exactly the phase-end records of its
-// trace slice (the enclosing recovery pair aside). The walls of the steps
+// trace slice (the enclosing recovery pair aside), and it must be the
+// shape's expected path: a phase that moved or vanished from both the path
+// and the trace fails only the second check. The walls of the steps
 // before validation must fit inside the recovery wall, and the validation
 // step must carry the validation wall. A phase traced but not recorded, or
 // recorded but not traced, fails here.
 func TestPathMatchesTrace(t *testing.T) {
 	validation := trace.PhaseName(trace.PhaseValidation)
 	guardForced := core.MachineConfig{GuardForce: []string{"chaos_bug"}}
+	// Figure 1's cycle after a full two-phase diagnosis; validation's n
+	// counts its randomized re-executions.
+	full := []ledger.Step{
+		{Name: "phase1", N: 2, Outcome: "checkpoint found"},
+		{Name: "phase2", N: 3, Outcome: "identified"},
+		{Name: "patch-gen", N: 1},
+		{Name: "rollback", N: 1},
+		{Name: validation, N: 3, Outcome: "consistent"},
+	}
+	earlyDetect := ledger.Step{Name: "early-detect", Outcome: "same-event"}
 	cases := []struct {
 		name string
 		cfg  RunConfig
-		step string // a step the shape must produce
+		path []ledger.Step // the expected path, walls aside
 	}{
-		{"sync", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow}, validation},
-		{"parallel-validation", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Mode: ModeParallel}, validation},
-		{"stream-batch", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Mode: ModeStream, Batch: 7}, validation},
-		{"speculate", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Speculate: true}, "phase2"},
-		{"guard-fast-path", RunConfig{Seed: 0x6A1, Class: mmbug.BufferOverflow, Machine: guardForced}, "guard-confirm"},
-		{"protected", RunConfig{Seed: 3, Class: mmbug.BufferOverflow, Protect: true}, "early-detect"},
+		{"sync", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow}, full},
+		{"parallel-validation", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Mode: ModeParallel}, full},
+		{"stream-batch", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Mode: ModeStream, Batch: 7}, full},
+		{"speculate", RunConfig{Seed: 0x1D6, Class: mmbug.BufferOverflow, Speculate: true}, full},
+		{"guard-fast-path", RunConfig{Seed: 0x6A1, Class: mmbug.BufferOverflow, Machine: guardForced}, []ledger.Step{
+			earlyDetect,
+			{Name: "guard-confirm", N: 1, Outcome: "confirmed"},
+			{Name: "patch-gen", N: 1},
+			{Name: "rollback", N: 1},
+			{Name: validation, N: 3, Outcome: "consistent"},
+		}},
+		{"protected", RunConfig{Seed: 3, Class: mmbug.BufferOverflow, Protect: true}, append([]ledger.Step{earlyDetect}, full...)},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -62,17 +80,15 @@ func TestPathMatchesTrace(t *testing.T) {
 					traced = append(traced, ledger.Step{Name: trace.PhaseName(r.Arg1), N: r.Arg2})
 				}
 			}
-			var recorded []ledger.Step
+			var recorded, steps []ledger.Step
 			var walls time.Duration
-			var sawStep, sawValidation bool
 			for _, st := range d.Path {
 				recorded = append(recorded, ledger.Step{Name: st.Name, N: st.N})
-				sawStep = sawStep || st.Name == tc.step
+				steps = append(steps, ledger.Step{Name: st.Name, N: st.N, Outcome: st.Outcome})
 				if st.Name != validation {
 					walls += time.Duration(st.WallNS)
 					continue
 				}
-				sawValidation = true
 				if got := time.Duration(st.WallNS).Seconds(); got != d.ValidationSec {
 					t.Errorf("validation step wall %vs, diagnosis ValidationSec %vs", got, d.ValidationSec)
 				}
@@ -80,8 +96,8 @@ func TestPathMatchesTrace(t *testing.T) {
 			if !reflect.DeepEqual(recorded, traced) {
 				t.Fatalf("path and trace disagree:\npath  %+v\ntrace %+v", recorded, traced)
 			}
-			if !sawStep || !sawValidation {
-				t.Fatalf("path %+v lacks %s or validation", d.Path, tc.step)
+			if !reflect.DeepEqual(steps, tc.path) {
+				t.Fatalf("path %+v, want %+v", steps, tc.path)
 			}
 			if walls.Seconds() > d.RecoverySec {
 				t.Errorf("steps before validation took %v, more than the recovery's %vs", walls, d.RecoverySec)

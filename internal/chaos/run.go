@@ -122,24 +122,6 @@ func (o *Outcome) WritePostmortems(dir string) ([]string, error) {
 	return o.Sup.WritePostmortems(dir)
 }
 
-// DiagnosedClasses returns the distinct bug classes diagnosed across all
-// recoveries, in mmbug order.
-func (o *Outcome) DiagnosedClasses() []mmbug.Type {
-	seen := map[mmbug.Type]bool{}
-	for _, rec := range o.Recoveries {
-		for _, f := range rec.Findings {
-			seen[f.Class] = true
-		}
-	}
-	var out []mmbug.Type
-	for _, b := range mmbug.All {
-		if seen[b] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // Verdict renders the full failure report: seed, stats, every recovery's
 // diagnosis, the oracle error, and the decoded program — everything
 // needed to replay and shrink from a single uint64.

@@ -2,6 +2,9 @@
 // program under checkpointing, catches failures, drives the diagnosis
 // engine, generates and applies runtime patches, re-executes for recovery,
 // validates the patches, and produces the bug report (paper Figure 1).
+// Supervisor.recover runs that cycle as one function, a step at a time
+// (recovery.go); speculative diagnosis plugs into the engine as a
+// diagnosis.Prober whose clones specHost mints (speculate.go).
 package core
 
 import (
@@ -357,10 +360,6 @@ func (m *Machine) SimNow() uint64 { return m.simNow }
 
 // SimSeconds returns the monotonic simulated time in seconds.
 func (m *Machine) SimSeconds() float64 { return float64(m.simNow) / proc.CyclesPerSecond }
-
-// AddSimTime charges wall-of-machine time that has no process-clock
-// counterpart (e.g. a baseline's process restart penalty).
-func (m *Machine) AddSimTime(cycles uint64) { m.simNow += cycles }
 
 // --- diagnosis.Machine implementation -------------------------------------------
 

@@ -10,15 +10,14 @@ import (
 	"firstaid/internal/patch"
 	"firstaid/internal/proc"
 	"firstaid/internal/report"
-	"firstaid/internal/stages"
 	"firstaid/internal/trace"
 	"firstaid/internal/validate"
 )
 
-// recoveryEpisode carries one recovery's supervisor-side state across the
-// stages of the recovery plan: the wall-clock origin, the replay window,
-// the trace/ledger handles opened by the monitor stage, and the Recovery
-// record built by triage for the later stages to complete.
+// recoveryEpisode carries one recovery's supervisor-side state from step to
+// step of recover: the wall-clock origin, the replay window, the
+// trace/ledger handles opened by begin, the diagnosis result, and the
+// Recovery record built by triage for the later steps to complete.
 type recoveryEpisode struct {
 	s *Supervisor
 	f *proc.Fault
@@ -34,30 +33,28 @@ type recoveryEpisode struct {
 	res diagnosis.Result
 }
 
-// recoveryPlan is the supervisor's recovery strategy as data: the monitor
-// stage opens the episode, the four diagnosis stages drive the engine
-// session (with the guard fast path leading), and triage/patch-gen/
-// rollback/validate complete Figure 1's cycle. Terminal outcomes
-// (non-deterministic screen, skip after repeated failure) stop the plan
-// early from triage.
-func (s *Supervisor) recoveryPlan(ep *recoveryEpisode) stages.Plan {
-	return stages.Plan{Name: "first-aid", Stages: []stages.Stage{
-		&monitorStage{ep},
-		stages.EvidenceConfirm,
-		stages.Screen,
-		stages.CheckpointSelect,
-		stages.Identify,
-		&triageStage{ep},
-		&patchGenStage{ep},
-		&rollbackStage{ep},
-		&validateStage{ep},
-	}}
+// recover runs Figure 1's cycle for one failure: it opens the episode,
+// diagnoses (phase 1 finds the checkpoint, phase 2 the bug classes and
+// call-sites), triages, then generates patches, rolls back to the chosen
+// checkpoint and validates the patches; the report is rendered when the
+// episode closes. Triage ends a non-deterministic or skipped recovery
+// before patch generation.
+func (s *Supervisor) recover(f *proc.Fault) {
+	ep := &recoveryEpisode{s: s, f: f, t0: time.Now()}
+	ep.failCursor = s.M.Log.Cursor() // the failing event is consumed
+	ep.until = ep.failCursor + s.window()
+	ep.begin()
+	ep.res = ep.engine().Diagnose(ep.until)
+	if !ep.triage() {
+		return
+	}
+	ep.generatePatches()
+	ep.rollback()
+	ep.validatePatches()
 }
 
-// newSession builds the diagnosis engine for this episode and opens its
-// session; installed as Ctx.NewSession so the diagnosis stages stay
-// decoupled from engine construction.
-func (ep *recoveryEpisode) newSession(c *stages.Ctx) *diagnosis.Session {
+// engine builds the diagnosis engine for this episode.
+func (ep *recoveryEpisode) engine() *diagnosis.Engine {
 	s, f := ep.s, ep.f
 	dcfg := s.cfg.Diagnosis
 	dcfg.Metrics = s.M.Tel
@@ -74,18 +71,12 @@ func (ep *recoveryEpisode) newSession(c *stages.Ctx) *diagnosis.Session {
 	if s.spec != nil {
 		dcfg.Prober = s.spec
 	}
-	return diagnosis.New(s.M, dcfg).Session(c.Until)
+	return diagnosis.New(s.M, dcfg)
 }
 
-// monitorStage opens the recovery episode: the ledger lifecycle entry with
-// the fault and guard-evidence conditions, and the trace phase. It leaves
-// the entry/trace handles on the context for the downstream stages.
-type monitorStage struct{ ep *recoveryEpisode }
-
-func (st *monitorStage) Name() string { return "monitor" }
-
-func (st *monitorStage) Run(c *stages.Ctx) stages.Status {
-	ep := st.ep
+// begin opens the recovery episode: the ledger lifecycle entry with the
+// fault and guard-evidence conditions, and the trace phase.
+func (ep *recoveryEpisode) begin() {
 	s, f := ep.s, ep.f
 
 	// Open the lifecycle object before any recovery work: TraceFrom is the
@@ -136,27 +127,17 @@ func (st *monitorStage) Run(c *stages.Ctx) stages.Status {
 		// path and trace record the zero-event detection latency.
 		ep.entry.Phase(ep.trc, trace.PhaseEarlyDetect, uint64(f.Event))(0, "same-event")
 	}
-
-	c.Entry, c.Trace = ep.entry, ep.trc
-	return stages.Next
 }
 
-// triageStage seals the diagnosis session, records the Recovery and its
-// ledger projection (including the speculation summary), and routes the
-// terminal outcomes: non-deterministic failures continue from the screen's
-// post-failure state, undiagnosable or repeatedly-failing events are
-// skipped. Both stop the plan.
-type triageStage struct{ ep *recoveryEpisode }
+// triage records the Recovery and its ledger projection (including the
+// speculation summary), and routes the terminal outcomes: non-deterministic
+// failures continue from the screen's post-failure state, undiagnosable or
+// repeatedly-failing events are skipped. It reports whether the recovery
+// goes on to patch generation; both terminal outcomes close the episode
+// and return false.
+func (ep *recoveryEpisode) triage() bool {
+	s, f, res := ep.s, ep.f, ep.res
 
-func (st *triageStage) Name() string { return "triage" }
-
-func (st *triageStage) Run(c *stages.Ctx) stages.Status {
-	ep := st.ep
-	s, f := ep.s, ep.f
-
-	res := c.Session().Result()
-	ep.res = res
-	c.Result = &ep.res
 	rec := &Recovery{Fault: f, Result: res, Ledger: ep.entry}
 	ep.rec = rec
 	s.Recoveries = append(s.Recoveries, rec)
@@ -191,7 +172,8 @@ func (st *triageStage) Run(c *stages.Ctx) stages.Status {
 		// The plain re-execution already carried the program past the
 		// failure region; continue from its state.
 		s.met.nondet.Inc()
-		return ep.stop(true, "nondeterministic")
+		ep.stop(true, "nondeterministic")
+		return false
 	}
 
 	s.retries[f.Event]++
@@ -199,14 +181,15 @@ func (st *triageStage) Run(c *stages.Ctx) stages.Status {
 		s.skipFailingEvent(ep.failCursor)
 		rec.Skipped = true
 		s.met.skipped.Inc()
-		return ep.stop(false, "skipped")
+		ep.stop(false, "skipped")
+		return false
 	}
-	return stages.Next
+	return true
 }
 
-// stop closes a recovery that triage ends early — non-deterministic or
-// skipped — and stops the plan.
-func (ep *recoveryEpisode) stop(succeeded bool, outcome string) stages.Status {
+// stop closes a recovery that triage ends early: non-deterministic or
+// skipped.
+func (ep *recoveryEpisode) stop(succeeded bool, outcome string) {
 	s, rec := ep.s, ep.rec
 	rec.RecoveryWall = time.Since(ep.t0)
 	s.met.recoveryWallUS.Observe(uint64(rec.RecoveryWall.Microseconds()))
@@ -214,16 +197,10 @@ func (ep *recoveryEpisode) stop(succeeded bool, outcome string) stages.Status {
 	ep.entry.Update(func(d *ledger.Diagnosis) { d.RecoverySec = rec.RecoveryWall.Seconds() })
 	ep.entry.Close(succeeded, outcome, s.M.TraceClock(), ep.trc.Tracer().Emitted())
 	rec.Report = report.FromDiagnosis(ep.entry.Snapshot())
-	return stages.Stop
 }
 
-// patchGenStage turns the diagnosis findings into pool patches.
-type patchGenStage struct{ ep *recoveryEpisode }
-
-func (st *patchGenStage) Name() string { return "patch-gen" }
-
-func (st *patchGenStage) Run(c *stages.Ctx) stages.Status {
-	ep := st.ep
+// generatePatches turns the diagnosis findings into pool patches.
+func (ep *recoveryEpisode) generatePatches() {
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
 
@@ -253,18 +230,12 @@ func (st *patchGenStage) Run(c *stages.Ctx) stages.Status {
 			Patches: pis,
 		})
 	}
-	return stages.Next
 }
 
-// rollbackStage rolls back to the chosen checkpoint so the main loop
+// rollback rolls back to the chosen checkpoint so the main loop
 // re-executes from there in normal mode with the patches active, and
 // closes the recovery timing.
-type rollbackStage struct{ ep *recoveryEpisode }
-
-func (st *rollbackStage) Name() string { return "rollback" }
-
-func (st *rollbackStage) Run(c *stages.Ctx) stages.Status {
-	ep := st.ep
+func (ep *recoveryEpisode) rollback() {
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
 
@@ -281,19 +252,13 @@ func (st *rollbackStage) Run(c *stages.Ctx) stages.Status {
 	rec.RecoveryWall = time.Since(ep.t0)
 	s.met.recoveries.Inc()
 	s.met.recoveryWallUS.Observe(uint64(rec.RecoveryWall.Microseconds()))
-	return stages.Next
 }
 
-// validateStage validates the installed patches on the buggy region. In
+// validatePatches validates the installed patches on the buggy region. In
 // parallel mode a cloned machine validates on another goroutine while the
 // main loop resumes immediately — the paper's design; otherwise it runs
 // inline, timed apart from recovery.
-type validateStage struct{ ep *recoveryEpisode }
-
-func (st *validateStage) Name() string { return "validate" }
-
-func (st *validateStage) Run(c *stages.Ctx) stages.Status {
-	ep := st.ep
+func (ep *recoveryEpisode) validatePatches() {
 	s, f := ep.s, ep.f
 	rec, res := ep.rec, ep.res
 	trc, until := ep.trc, ep.until
@@ -342,5 +307,4 @@ func (st *validateStage) Run(c *stages.Ctx) stages.Status {
 		trc.Emit(trace.KPhaseEnd, trace.PhaseRecovery, uint64(res.Rollbacks))
 		s.finishRecovery(rec)
 	}
-	return stages.Next
 }

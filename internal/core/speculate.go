@@ -3,13 +3,13 @@ package core
 import (
 	"firstaid/internal/callsite"
 	"firstaid/internal/checkpoint"
-	"firstaid/internal/stages"
+	"firstaid/internal/diagnosis"
 )
 
-// specHost adapts a Machine to stages.CloneSource, and keeps one pre-warmed
-// standby clone refreshed at every checkpoint so the first hypothesis of a
-// recovery can launch without paying the clone cost. All methods run on the
-// supervisor goroutine.
+// specHost adapts a Machine to diagnosis.CloneSource, and keeps one
+// pre-warmed standby clone refreshed at every checkpoint so the first
+// hypothesis of a recovery can launch without paying the clone cost. All
+// methods run on the supervisor goroutine.
 type specHost struct {
 	m *Machine
 
@@ -22,17 +22,17 @@ type specHost struct {
 	standbyCp *checkpoint.Checkpoint
 }
 
-// Rollback implements stages.CloneSource.
+// Rollback implements diagnosis.CloneSource.
 func (h *specHost) Rollback(cp *checkpoint.Checkpoint) { h.m.Rollback(cp) }
 
-// SpawnProbe implements stages.CloneSource.
-func (h *specHost) SpawnProbe() stages.ProbeMachine { return h.m.CloneForSpeculation() }
+// SpawnProbe implements diagnosis.CloneSource.
+func (h *specHost) SpawnProbe() diagnosis.ProbeMachine { return h.m.CloneForSpeculation() }
 
-// TakeStandby implements stages.CloneSource: it surrenders the standby when
+// TakeStandby implements diagnosis.CloneSource: it surrenders the standby when
 // it was taken at exactly cp. The standby's replay log is a snapshot from
 // clone time; under streaming supervision the parent log has grown since,
 // so it is brought level before handing over.
-func (h *specHost) TakeStandby(cp *checkpoint.Checkpoint) stages.ProbeMachine {
+func (h *specHost) TakeStandby(cp *checkpoint.Checkpoint) diagnosis.ProbeMachine {
 	if h.standby == nil || h.standbyCp != cp {
 		return nil
 	}
@@ -42,7 +42,7 @@ func (h *specHost) TakeStandby(cp *checkpoint.Checkpoint) stages.ProbeMachine {
 	return sb
 }
 
-// InternSite implements stages.CloneSource.
+// InternSite implements diagnosis.CloneSource.
 func (h *specHost) InternSite(k callsite.Key) callsite.ID { return h.m.Proc.Sites.Intern(k) }
 
 // Refresh replaces the standby with a fresh clone of the machine as it

@@ -13,7 +13,6 @@ import (
 	"firstaid/internal/proc"
 	"firstaid/internal/replay"
 	"firstaid/internal/report"
-	"firstaid/internal/stages"
 	"firstaid/internal/telemetry"
 	"firstaid/internal/trace"
 	"firstaid/internal/validate"
@@ -120,7 +119,7 @@ type Supervisor struct {
 
 	// spec races diagnosis probes on clones minted by host; both are nil
 	// when speculation is off.
-	spec *stages.Speculator
+	spec *diagnosis.Speculator
 	host *specHost
 
 	events   int
@@ -207,7 +206,7 @@ func NewSupervisor(prog app.Program, log *replay.Log, cfg Config) *Supervisor {
 	}
 	if cfg.Speculate && cfg.Machine.IntegrityCheckEvery <= 1 {
 		s.host = &specHost{m: m}
-		s.spec = stages.NewSpeculator(s.host, m.Tel, m.TraceEmitter())
+		s.spec = diagnosis.NewSpeculator(s.host, m.Tel, m.TraceEmitter())
 		// Pre-warm the first standby at checkpoint #0: right after
 		// NewMachine's Take the machine state is exactly the checkpoint
 		// state, so the clone is a faithful stand-in for a rollback.
@@ -221,9 +220,9 @@ func (s *Supervisor) Telemetry() *telemetry.Registry { return s.M.Tel }
 
 // Speculation returns the lifetime speculative-execution stats (the zero
 // value when speculation is off).
-func (s *Supervisor) Speculation() stages.SpecStats {
+func (s *Supervisor) Speculation() diagnosis.SpecStats {
 	if s.spec == nil {
-		return stages.SpecStats{}
+		return diagnosis.SpecStats{}
 	}
 	return s.spec.Totals()
 }
@@ -434,23 +433,6 @@ func (s *Supervisor) window() int {
 		}
 	}
 	return 30
-}
-
-// recover diagnoses the failure, generates and applies patches, rolls back,
-// validates and reports (Figure 1's full cycle) — by running the
-// supervisor's recovery plan, an ordered list of stages over a shared
-// context (see internal/stages and recovery.go).
-func (s *Supervisor) recover(f *proc.Fault) {
-	ep := &recoveryEpisode{s: s, f: f, t0: time.Now()}
-	ep.failCursor = s.M.Log.Cursor() // the failing event is consumed
-	ep.until = ep.failCursor + s.window()
-	c := &stages.Ctx{
-		Fault:      f,
-		FailCursor: ep.failCursor,
-		Until:      ep.until,
-		NewSession: ep.newSession,
-	}
-	s.recoveryPlan(ep).Run(c)
 }
 
 // validationOutcome names a validation verdict for the path step.

@@ -17,11 +17,17 @@
 // overflow / dangling-write / double-free, and runs the O(M·log N)
 // binary search over observed call-sites for the read-type bugs
 // (dangling read, uninitialized read).
+//
+// Engine.Diagnose runs the whole diagnosis in that order, after the
+// guard-evidence fast path when the detector supplied evidence. A Prober
+// may serve the prefetchable probes from speculative re-executions; the
+// package's Speculator (speculate.go) races them on COW machine clones and
+// hands the engine their outcomes in serial program order, so speculative
+// diagnosis is observationally identical to the serial one.
 package diagnosis
 
 import (
 	"fmt"
-	"time"
 
 	"firstaid/internal/allocext"
 	"firstaid/internal/callsite"
@@ -280,8 +286,8 @@ type ProbeResult struct {
 // Prober races prefetched probes on behalf of the engine. Implementations
 // must be cheap to call from the supervisor goroutine: Prefetch launches
 // hypotheses asynchronously, Take blocks only for the one requested probe,
-// and CancelAll tears down everything still in flight (the session calls it
-// once, when the diagnosis resolves).
+// and CancelAll tears down everything still in flight (Diagnose calls it
+// once, when the diagnosis resolves). Speculator is the implementation.
 type Prober interface {
 	// Prefetch announces probes the engine will consume in order. The
 	// prober may launch any subset; unserved requests fall back to serial
@@ -306,107 +312,67 @@ func candidate(cp *checkpoint.Checkpoint, rejected string) ledger.CandidateInfo 
 // Diagnose runs both phases. until is the success horizon: a re-execution
 // that reaches this replay-cursor position without a fault has "passed the
 // original failure region" (the supervisor sets it to the failure cursor
-// plus ~3 checkpoint intervals of events, per §4.1). It is the canonical
-// serial plan over the Session phase methods; a stage plan may drive the
-// same methods itself.
+// plus ~3 checkpoint intervals of events, per §4.1). Guard evidence, when
+// present, is tried first: if its one scoped re-execution confirms it, both
+// search phases are skipped. Speculative probes still in flight when the
+// diagnosis resolves are cancelled and joined before it returns.
 func (e *Engine) Diagnose(until int) Result {
-	s := e.Session(until)
-	s.TryEvidence()
-	s.Screen()
-	s.SelectCheckpoint()
-	s.Identify()
-	return s.Result()
-}
-
-// Session is one diagnosis split into its externally steerable phases:
-// TryEvidence (guard fast path), Screen (non-determinism screen),
-// SelectCheckpoint (phase-1 backward search), Identify (phase-2 class and
-// site identification), Result (seal and cancel speculation). Each method
-// no-ops once the session has resolved, so a stage plan can run any
-// prefix, reorder around the fast path, or skip phases entirely; the
-// observable output (log lines, ledger conditions, rollback counts) of the
-// phases that do run is byte-identical to Diagnose's.
-type Session struct {
-	e     *Engine
-	until int
-
-	done     bool // a terminal or final result exists
-	finished bool // Result sealed the session and cancelled the prober
-	res      Result
-
-	cp              *checkpoint.Checkpoint
-	endPhase1       func(n uint64, outcome string) time.Duration
-	phase1Rollbacks int
-	ladder          []*ProbeReq
-	classReqs       map[mmbug.Type]*ProbeReq
-}
-
-// Session opens a diagnosis session, resetting the engine's per-diagnosis
-// state exactly as Diagnose does.
-func (e *Engine) Session(until int) *Session {
 	e.rollbacks = 0
 	e.log = nil
 	if e.cfg.DetectedEarly {
 		e.logf("failure detected early at a protected-region touchpoint: corruption trapped at the causing event (zero-event propagation)")
 	}
-	return &Session{e: e, until: until}
-}
-
-// Resolved reports whether the session has produced a result.
-func (s *Session) Resolved() bool { return s.done }
-
-// Checkpoint returns the phase-1 selection (nil until SelectCheckpoint, or
-// when the session resolved without one).
-func (s *Session) Checkpoint() *checkpoint.Checkpoint {
-	if s.done && s.res.Checkpoint != nil {
-		return s.res.Checkpoint
+	if e.cfg.Prober != nil {
+		defer e.cfg.Prober.CancelAll()
 	}
-	return s.cp
-}
+	if e.cfg.Evidence != nil {
+		if res, ok := e.confirmEvidence(until); ok {
+			return res
+		}
+	}
 
-// TryEvidence attempts the guard-evidence fast path: one scoped
-// confirmation re-execution replaces both search phases. A session without
-// evidence, or whose confirmation fails, stays unresolved.
-func (s *Session) TryEvidence() {
-	if s.done || s.e.cfg.Evidence == nil {
-		return
-	}
-	if res, ok := s.e.confirmEvidence(s.until); ok {
-		s.res = res
-		s.done = true
-	}
-}
-
-// terminal seals a phase-1 terminal result (non-deterministic or
-// unpatchable), closing phase 1.
-func (s *Session) terminal(res Result) {
-	e := s.e
-	outcome := "unpatchable"
-	if res.Nondeterministic {
-		outcome = "nondeterministic"
-	}
-	s.endPhase1(uint64(e.rollbacks), outcome)
-	res.Rollbacks = e.rollbacks
-	res.Log = e.log
-	s.res = res
-	s.done = true
-}
-
-// Screen opens phase 1 and screens for a non-deterministic failure with a
-// plain re-execution from the newest checkpoint. The screen always runs
-// serially on the engine's own machine: when it passes, the supervisor
-// continues from the re-executed state, so that state must land on the
-// parent, never on a clone. Before the screen runs, the phase-1 candidate
-// ladder is built and handed to the prober — speculative clones race the
-// ladder hypotheses while the parent executes the screen.
-func (s *Session) Screen() {
-	if s.done {
-		return
-	}
-	e := s.e
 	e.curPhase = e.metPhase1
-	s.endPhase1 = e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag1, uint64(s.until))
+	endPhase1 := e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag1, uint64(until))
+	cp, res := e.phase1(until)
+	if cp == nil {
+		outcome := "unpatchable"
+		if res.Nondeterministic {
+			outcome = "nondeterministic"
+		}
+		endPhase1(uint64(e.rollbacks), outcome)
+		res.Rollbacks = e.rollbacks
+		res.Log = e.log
+		return res
+	}
+	endPhase1(uint64(e.rollbacks), "checkpoint found")
+	phase1Rollbacks := e.rollbacks
+	classReqs := e.prefetchClassProbes(cp, until)
 
+	e.curPhase = e.metPhase2
+	endPhase2 := e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag2, uint64(until))
+	findings, ok := e.phase2(cp, until, classReqs)
+	res = Result{Checkpoint: cp, Findings: findings, Rollbacks: e.rollbacks}
+	outcome := "identified"
+	if !ok {
+		res.Unpatchable = true
+		e.logf("phase 2 failed to isolate a patchable bug set; marking non-patchable")
+		outcome = "unpatchable"
+	}
+	endPhase2(uint64(e.rollbacks-phase1Rollbacks), outcome)
+	res.Log = e.log
+	return res
+}
+
+// phase1 finds the newest checkpoint predating the bug-triggering point. It
+// first screens for a non-deterministic failure with a plain re-execution
+// from the newest checkpoint. The screen always runs serially on the
+// engine's own machine: when it passes, the supervisor continues from the
+// re-executed state, so that state must land on the parent, never on a
+// clone. Before the screen runs, the candidate ladder is built and handed
+// to the prober, so speculative clones race the ladder hypotheses while
+// the parent executes the screen. phase1 returns the selected checkpoint,
+// or nil and the terminal result: non-deterministic or non-patchable.
+func (e *Engine) phase1(until int) (*checkpoint.Checkpoint, Result) {
 	cps := e.m.Checkpoints()
 	if len(cps) == 0 {
 		e.logf("no checkpoints available")
@@ -414,29 +380,27 @@ func (s *Session) Screen() {
 			Type:    ledger.Phase1Completed,
 			Message: "no checkpoints available: non-patchable",
 		})
-		s.terminal(Result{Unpatchable: true})
-		return
+		return nil, Result{Unpatchable: true}
 	}
 
 	// The candidate ladder, newest first, bounded by MaxCheckpoints. Each
 	// request owns a freshly built change set; serial and speculative
 	// consumption share these exact request objects.
-	tried := 0
-	for i := len(cps) - 1; i >= 0 && tried < e.cfg.MaxCheckpoints; i-- {
-		s.ladder = append(s.ladder, &ProbeReq{
+	var ladder []*ProbeReq
+	for i := len(cps) - 1; i >= 0 && len(ladder) < e.cfg.MaxCheckpoints; i-- {
+		ladder = append(ladder, &ProbeReq{
 			Ckpt:  cps[i],
 			CS:    allocext.AllPreventiveCanaried(),
-			Until: s.until,
+			Until: until,
 			Mark:  !e.cfg.DisableHeapMarking,
 		})
-		tried++
 	}
 	if e.cfg.Prober != nil {
-		e.cfg.Prober.Prefetch(s.ladder)
+		e.cfg.Prober.Prefetch(ladder)
 	}
 
 	newest := cps[len(cps)-1]
-	out := e.reexec(newest, allocext.NewChangeSet(), s.until, false)
+	out := e.reexec(newest, allocext.NewChangeSet(), until, false)
 	if out.Passed() {
 		e.logf("plain re-execution from %v passed: non-deterministic failure", newest)
 		e.cfg.Ledger.Add(ledger.Condition{
@@ -445,27 +409,24 @@ func (s *Session) Screen() {
 			Message:    "plain re-execution passed: non-deterministic failure, no patch needed",
 			Candidates: []ledger.CandidateInfo{candidate(newest, "")},
 		})
-		s.terminal(Result{Nondeterministic: true})
-		return
+		return nil, Result{Nondeterministic: true}
 	}
 	e.logf("plain re-execution from %v failed again (%v): deterministic bug", newest, out.Fault.Kind)
+	if cp := e.selectCheckpoint(ladder); cp != nil {
+		return cp, Result{}
+	}
+	return nil, Result{Unpatchable: true}
 }
 
-// SelectCheckpoint walks the phase-1 ladder: each candidate is probed with
+// selectCheckpoint walks the phase-1 ladder: each candidate is probed with
 // every preventive change applied to all objects, heap marking rejecting
 // checkpoints whose apparent success merely reflects disturbed layout after
-// an already-triggered bug. On success the phase-2 class probes are
-// prefetched from the chosen checkpoint before the session moves on.
-func (s *Session) SelectCheckpoint() {
-	if s.done || s.endPhase1 == nil {
-		return
-	}
-	e := s.e
+// an already-triggered bug. It returns the first surviving candidate, or
+// nil when none survives.
+func (e *Engine) selectCheckpoint(ladder []*ProbeReq) *checkpoint.Checkpoint {
 	var cands []ledger.CandidateInfo
-	tried := 0
-	for _, r := range s.ladder {
+	for tried, r := range ladder {
 		cp := r.Ckpt
-		tried++
 		out := e.reexecReq(r)
 		switch {
 		case out.Passed() && !out.Manifests.HasMark() && !out.Manifests.HasUnderflow() && out.MetaErr == nil:
@@ -474,7 +435,7 @@ func (s *Session) SelectCheckpoint() {
 			e.cfg.Ledger.Add(ledger.Condition{
 				Type:    ledger.Phase1Completed,
 				Clock:   cp.Clock,
-				Message: fmt.Sprintf("checkpoint found after %d candidate(s)", tried),
+				Message: fmt.Sprintf("checkpoint found after %d candidate(s)", tried+1),
 			})
 			e.cfg.Ledger.Add(ledger.Condition{
 				Type:       ledger.CheckpointSelected,
@@ -483,11 +444,7 @@ func (s *Session) SelectCheckpoint() {
 				Checkpoint: &ledger.CheckpointInfo{Seq: cp.Seq, Clock: cp.Clock, Cursor: cp.Cursor},
 				Candidates: cands,
 			})
-			s.endPhase1(uint64(e.rollbacks), "checkpoint found")
-			s.phase1Rollbacks = e.rollbacks
-			s.cp = cp
-			s.prefetchClassProbes()
-			return
+			return cp
 		case out.Manifests.HasMark():
 			e.logf("heap-marking canaries corrupted re-executing from %v: bug triggered before this checkpoint, searching earlier", cp)
 			cands = append(cands, candidate(cp, "heap-marking canaries corrupted: bug triggered before this checkpoint"))
@@ -511,65 +468,24 @@ func (s *Session) SelectCheckpoint() {
 		Message:    fmt.Sprintf("no surviving checkpoint within %d candidates: non-patchable", e.cfg.MaxCheckpoints),
 		Candidates: cands,
 	})
-	s.terminal(Result{Unpatchable: true})
+	return nil
 }
 
-// prefetchClassProbes builds the phase-2 exposing probes (one per bug
-// class, in mmbug order — the order Identify consumes them) and hands them
-// to the prober.
-func (s *Session) prefetchClassProbes() {
-	s.classReqs = make(map[mmbug.Type]*ProbeReq, len(mmbug.All))
+// prefetchClassProbes builds the phase-2 exposing probes from cp (one per
+// bug class, in mmbug order, the order phase2 consumes them) and hands
+// them to the prober.
+func (e *Engine) prefetchClassProbes(cp *checkpoint.Checkpoint, until int) map[mmbug.Type]*ProbeReq {
+	classReqs := make(map[mmbug.Type]*ProbeReq, len(mmbug.All))
 	reqs := make([]*ProbeReq, 0, len(mmbug.All))
 	for _, b := range mmbug.All {
-		r := &ProbeReq{Ckpt: s.cp, CS: exposePlusPrevent(b), Until: s.until}
-		s.classReqs[b] = r
+		r := &ProbeReq{Ckpt: cp, CS: exposePlusPrevent(b), Until: until}
+		classReqs[b] = r
 		reqs = append(reqs, r)
 	}
-	if s.e.cfg.Prober != nil {
-		s.e.cfg.Prober.Prefetch(reqs)
+	if e.cfg.Prober != nil {
+		e.cfg.Prober.Prefetch(reqs)
 	}
-}
-
-// Identify runs phase 2 from the selected checkpoint and seals the final
-// result.
-func (s *Session) Identify() {
-	if s.done || s.cp == nil {
-		return
-	}
-	e := s.e
-	e.curPhase = e.metPhase2
-	endPhase2 := e.cfg.Ledger.Phase(e.cfg.Trace, trace.PhaseDiag2, uint64(s.until))
-	findings, ok := e.phase2(s.cp, s.until, s.classReqs)
-	result := Result{Checkpoint: s.cp, Findings: findings, Rollbacks: e.rollbacks}
-	outcome := "identified"
-	if !ok {
-		result.Unpatchable = true
-		e.logf("phase 2 failed to isolate a patchable bug set; marking non-patchable")
-		outcome = "unpatchable"
-	}
-	endPhase2(uint64(e.rollbacks-s.phase1Rollbacks), outcome)
-	result.Log = e.log
-	s.res = result
-	s.done = true
-}
-
-// Result seals the session: outstanding speculative probes are cancelled
-// and joined, and the diagnosis result is returned. A plan that ends
-// without resolving (e.g. a truncated stage list) yields non-patchable.
-// Idempotent; every caller after the first gets the same result.
-func (s *Session) Result() Result {
-	if !s.finished {
-		if s.e.cfg.Prober != nil {
-			s.e.cfg.Prober.CancelAll()
-		}
-		if !s.done {
-			s.e.logf("diagnosis plan ended without resolving; marking non-patchable")
-			s.res = Result{Unpatchable: true, Rollbacks: s.e.rollbacks, Log: s.e.log}
-			s.done = true
-		}
-		s.finished = true
-	}
-	return s.res
+	return classReqs
 }
 
 // confirmEvidence tries the guard-evidence fast path: one confirmation
@@ -669,10 +585,9 @@ func manifested(b mmbug.Type, out Outcome) bool {
 	return false
 }
 
-// phase2 identifies bug classes and call-sites from cp. classReqs, when
-// non-nil, holds the prefetched class-probe requests (built by the session
-// in mmbug order) so a prober can race them; classes without a request
-// probe serially.
+// phase2 identifies bug classes and call-sites from cp. classReqs holds
+// the prefetched class-probe requests, one per class, so a prober can race
+// them.
 func (e *Engine) phase2(cp *checkpoint.Checkpoint, until int, classReqs map[mmbug.Type]*ProbeReq) ([]Finding, bool) {
 	identified := []mmbug.Type{}
 	directSites := map[mmbug.Type][]callsite.ID{}
@@ -682,12 +597,7 @@ func (e *Engine) phase2(cp *checkpoint.Checkpoint, until int, classReqs map[mmbu
 		b := undecided[0]
 		undecided = undecided[1:]
 
-		var out Outcome
-		if r := classReqs[b]; r != nil {
-			out = e.reexecReq(r)
-		} else {
-			out = e.reexec(cp, exposePlusPrevent(b), until, false)
-		}
+		out := e.reexecReq(classReqs[b])
 		if !manifested(b, out) {
 			e.logf("probe %v: no manifestation, ruled out", b)
 			continue

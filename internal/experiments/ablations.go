@@ -66,11 +66,10 @@ func RenderAblationSearch(rows []AblationSearchRow) string {
 // AblationCheckpointRow compares adaptive vs fixed checkpoint intervals on
 // one heavy-dirtying workload.
 type AblationCheckpointRow struct {
-	Program       string
-	Mode          string
-	OverheadFrac  float64 // vs no checkpointing
-	MBPerCkpt     float64
-	FinalInterval float64 // seconds
+	Program      string
+	Mode         string
+	OverheadFrac float64 // vs no checkpointing
+	MBPerCkpt    float64
 }
 
 // AblationCheckpoint measures the adaptive controller's effect on the

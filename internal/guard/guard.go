@@ -27,8 +27,6 @@
 package guard
 
 import (
-	"sort"
-
 	"firstaid/internal/callsite"
 	"firstaid/internal/mmbug"
 	"firstaid/internal/telemetry"
@@ -564,14 +562,3 @@ func (g *Guard) Live() int { return len(g.st.slots) }
 
 // QuarantineLen returns the number of quarantined entries retained.
 func (g *Guard) QuarantineLen() int { return len(g.st.quar) }
-
-// LiveSlots returns the live slots sorted by region start (for tests and
-// introspection).
-func (g *Guard) LiveSlots() []Slot {
-	out := make([]Slot, 0, len(g.st.slots))
-	for _, sl := range g.st.slots {
-		out = append(out, *sl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}

@@ -199,10 +199,6 @@ func New(mem *vmem.Space, mm MM) *Proc {
 	}
 }
 
-// SetMM swaps the memory-management layer (e.g. raw allocator vs the
-// First-Aid extension, or baselines).
-func (p *Proc) SetMM(mm MM) { p.mm = mm }
-
 // SetAccessChecker installs or removes (nil) the access observer.
 func (p *Proc) SetAccessChecker(c AccessChecker) { p.checker = c }
 
@@ -265,9 +261,6 @@ func (p *Proc) Stack() []string {
 	}
 	return out
 }
-
-// StackDepth returns the current stack depth.
-func (p *Proc) StackDepth() int { return len(p.stack) }
 
 // Instr returns the current instruction label, "fn:label" of the innermost
 // frame.

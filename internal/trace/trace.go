@@ -87,7 +87,7 @@ const (
 	KGuardFree  // arg1 = free call-site ID, arg2 = object size quarantined
 	KGuardHit   // arg1 = manifested bug class, arg2 = faulting address
 
-	// Speculative recovery (internal/stages.Speculator); records land on
+	// Speculative recovery (internal/diagnosis.Speculator); records land on
 	// the supervisor's own track, while each racing clone executes on a
 	// derived SpecTrack lane.
 	KSpecLaunch // arg1 = hypothesis ordinal, arg2 = checkpoint seq
