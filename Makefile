@@ -63,9 +63,10 @@ bench-smoke:
 # recovery path's packages (core, the diagnosis engine with its
 # speculative prober, and the replay log under the batched ingest path),
 # the copy-on-write tables under every checkpoint and clone (vmem's page
-# table, allocext's object table) and the canary check every diagnosis
-# scan runs must not drop below the floors recorded when each landed.
-# Raise the floors when coverage rises; never lower them.
+# table, allocext's object table, with its scan registry and validation
+# watch index), the process's access checking (proc) and the canary check
+# every diagnosis scan runs must not drop below the floors recorded when
+# each landed. Raise the floors when coverage rises; never lower them.
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -html=coverage.out -o coverage.html
@@ -74,7 +75,8 @@ cover:
 		-floor firstaid/internal/diagnosis=89 \
 		-floor firstaid/internal/replay=85 \
 		-floor firstaid/internal/vmem=97 \
-		-floor firstaid/internal/allocext=70 \
+		-floor firstaid/internal/allocext=77 \
+		-floor firstaid/internal/proc=77 \
 		-floor firstaid/internal/canary=100
 
 # fuzz-smoke gives the fuzzers a bounded budget in CI on top of their

@@ -57,7 +57,7 @@ func main() {
 		list       = flag.Bool("list", false, "list available applications and exit")
 		system     = flag.String("system", "first-aid", "recovery discipline: first-aid, rx, restart")
 		parallel   = flag.Bool("parallel-validation", false, "validate patches on a cloned machine in parallel")
-		speculate  = flag.Bool("speculate", true, "race diagnosis hypotheses on COW clones with a pre-warmed standby (identical verdicts, shorter recoveries); -speculate=false re-executes serially")
+		speculate  = flag.Bool("speculate", false, "race diagnosis hypotheses on COW clones, with a standby clone refreshed at every checkpoint (identical verdicts, fewer simulated cycles; wall time gains only with idle cores, and the standby costs every checkpoint); off by default: hypotheses re-execute serially")
 		metrics    = flag.Bool("metrics", false, "collect telemetry and dump the JSON snapshot (counters, gauges, histograms) at exit")
 		tracePath  = flag.String("trace", "", "record an execution trace and write it to this file at exit (inspect with firstaid-trace)")
 		traceCap   = flag.Int("trace-cap", 0, "execution-trace ring capacity in records (0 = default 64Ki)")

@@ -71,7 +71,7 @@ func main() {
 		dispatch   = flag.String("dispatch", "hash", "request dispatch: hash (sticky by source) or roundrobin")
 		poolPath   = flag.String("pool", "", "patch-pool file to load at start, save whenever the pool changes, and save at exit")
 		parallel   = flag.Bool("parallel-validation", false, "validate patches on cloned machines in parallel")
-		speculate  = flag.Bool("speculate", true, "per worker: race diagnosis hypotheses on COW clones with a pre-warmed standby (identical verdicts, shorter recoveries); -speculate=false re-executes serially")
+		speculate  = flag.Bool("speculate", false, "per worker: race diagnosis hypotheses on COW clones, with a standby clone refreshed at every checkpoint (identical verdicts, fewer simulated cycles; wall time gains only with idle cores, and the standby costs every checkpoint); off by default: hypotheses re-execute serially")
 		traceCap   = flag.Int("trace-cap", 0, "execution-trace ring capacity in records (0 = default 64Ki)")
 		ledgerCap  = flag.Int("ledger-cap", 0, "diagnosis-ledger ring capacity in entries (0 = default 256)")
 		guardRate  = flag.Int("guard-rate", 0, "guard-page sampling per worker: redirect ~1/N of allocations onto guard pages so stray accesses trap at the faulting instruction (0 = off; 4096 is the always-on default)")

@@ -22,6 +22,7 @@ package allocext
 
 import (
 	"fmt"
+	"slices"
 
 	"firstaid/internal/callsite"
 	"firstaid/internal/canary"
@@ -107,14 +108,33 @@ type markRange struct {
 	n    int
 }
 
+// padRegion is the geometry of a live canary-padded object, and
+// freedRegion that of a delay-freed one: a scan reads their canaries from
+// these and looks the object up only to name the sites of a corrupted one.
+type padRegion struct {
+	user, base        vmem.Addr
+	size              uint32
+	padFront, padBack uint32
+}
+
+type freedRegion struct {
+	user   vmem.Addr
+	size   uint32
+	canary bool // payload filled with canary.Freed at the free
+}
+
+func padRegionOf(o *Object) padRegion {
+	return padRegion{user: o.User, base: o.Base, size: o.UserSize, padFront: o.PadFront, padBack: o.PadBack}
+}
+
 // extState is the checkpointable part of the extension.
 type extState struct {
-	objs       objTable    // by user address; live and delay-freed
-	delayQ     []vmem.Addr // FIFO of delay-freed user addresses
+	objs       objTable      // by user address; live and delay-freed
+	delayQ     []freedRegion // FIFO of delay-freed objects
 	delayBytes uint64
 	freed      map[vmem.Addr]freedSite // free site of recently freed addrs
 	freedSeq   uint32                  // stamp of the latest free remembered
-	padded     []vmem.Addr             // live canary-padded objects (scan registry)
+	padded     []padRegion             // live canary-padded objects (scan registry)
 	protected  []vmem.Addr             // sensitive-region objects (eager-validation registry)
 	marks      []markRange             // Phase-1 heap-marking regions
 	metaBytes  uint64                  // current metadata+padding overhead
@@ -145,14 +165,18 @@ func newExtState() extState {
 // clone copies the state for a checkpoint or a machine clone. The object
 // table's groups and leaves are shared, not copied: the caller disowns
 // them on the side that goes on mutating (Ext.State, Ext.CopyStateFrom).
+// The delay FIFO is shared too. Its owner only pops its front and appends
+// past its end, so the entries a copy sees never change, and the copy's
+// capacity ends at its length, so its own first append reallocates.
 func (s *extState) clone() extState {
+	n := len(s.delayQ)
 	cp := extState{
 		objs:       s.objs.share(),
-		delayQ:     append([]vmem.Addr(nil), s.delayQ...),
+		delayQ:     s.delayQ[:n:n],
 		delayBytes: s.delayBytes,
 		freed:      make(map[vmem.Addr]freedSite, len(s.freed)),
 		freedSeq:   s.freedSeq,
-		padded:     append([]vmem.Addr(nil), s.padded...),
+		padded:     append([]padRegion(nil), s.padded...),
 		protected:  append([]vmem.Addr(nil), s.protected...),
 		marks:      append([]markRange(nil), s.marks...),
 		metaBytes:  s.metaBytes,
@@ -207,11 +231,13 @@ type Ext struct {
 	// check (the telemetry/trace off-discipline).
 	guard *guard.Guard
 
-	// watch is a Base-sorted index of "interesting" objects (padded,
-	// delay-freed, or init-tracked) used by validation-mode access
-	// classification; rebuilt lazily when dirty.
-	watch      []*Object
-	watchDirty bool
+	// watch indexes the interesting objects (padded, delay-freed or
+	// init-tracked) by backing region, in address order, for
+	// validation-mode access classification. In validation mode each
+	// change inserts or deletes one entry; any other mode only marks the
+	// index stale, and the next validation access rebuilds it.
+	watch      []watchEntry
+	watchStale bool
 
 	// Call-sites observed since ResetSeen, in first-seen order: the
 	// Phase-2 binary search's candidate sets ("a search range covering
@@ -390,7 +416,7 @@ func (e *Ext) SetState(v interface{}) {
 	default:
 		panic("allocext: unknown checkpoint state type")
 	}
-	e.watchDirty = true
+	e.watchStale = true
 }
 
 // CopyStateFrom gives e a copy of src's state, guard tier included —
@@ -403,7 +429,7 @@ func (e *Ext) CopyStateFrom(src *Ext) {
 	if e.guard != nil && src.guard != nil {
 		e.guard.CopyStateFrom(src.guard)
 	}
-	e.watchDirty = true
+	e.watchStale = true
 }
 
 // --- statistics -------------------------------------------------------------
@@ -579,15 +605,7 @@ func (e *Ext) mallocWithAction(n uint32, site callsite.ID, act AllocAction) (vme
 		AllocSite: site,
 		Alloc:     act,
 	}
-	if e.mode == ModeValidation && act.Zero {
-		obj.written = make([]uint64, (n+63)/64)
-	}
-	e.putObject(obj)
-	if act.PadCanary {
-		e.s.padded = append(e.s.padded, user)
-	}
-	e.accountAlloc(obj)
-	e.markWatchDirtyFor(obj)
+	e.addObject(obj)
 
 	// The address may recycle a previously freed object's slot; the old
 	// "freed" record is now stale.
@@ -640,16 +658,25 @@ func (e *Ext) guardMalloc(n uint32, site callsite.ID, act AllocAction) (vmem.Add
 		Alloc:     act,
 		Guarded:   true,
 	}
-	if e.mode == ModeValidation && act.Zero {
-		obj.written = make([]uint64, (n+63)/64)
-	}
-	e.putObject(obj)
-	if act.PadCanary {
-		e.s.padded = append(e.s.padded, user)
-	}
-	e.accountAlloc(obj)
-	e.markWatchDirtyFor(obj)
+	e.addObject(obj)
 	return user, nil
+}
+
+// addObject records a freshly carved object: the object table, the scan
+// registry if it is canary-padded, the space accounting and the watch
+// index. Validation tracks initialisation of zero-filled objects.
+func (e *Ext) addObject(o *Object) {
+	if e.mode == ModeValidation && o.Alloc.Zero {
+		o.written = make([]uint64, (o.UserSize+63)/64)
+	}
+	e.s.objs.put(o)
+	if o.Alloc.PadCanary {
+		e.s.padded = append(e.s.padded, padRegionOf(o))
+	}
+	e.accountAlloc(o)
+	if interesting(o) {
+		e.watchAdd(o)
+	}
 }
 
 func (e *Ext) accountAlloc(o *Object) {
@@ -751,7 +778,7 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 
 	// Overflow evidence check at object death: corrupted pad canary.
 	if obj.Alloc.PadCanary {
-		e.checkPadding(obj)
+		e.checkPadding(padRegionOf(obj))
 		e.removePadded(ptr)
 	}
 
@@ -768,16 +795,19 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 		e.triggers[site]++
 	}
 	if act.Delay {
-		obj = e.mutObject(ptr)
+		watched := interesting(obj)
+		obj = e.s.objs.mut(ptr)
 		obj.Delayed = true
 		obj.FreeSite = site
 		obj.Free = act
-		e.watchDirty = true
+		if !watched {
+			e.watchAdd(obj)
+		}
 		if act.CanaryFill {
 			canary.Fill(e.H.Mem(), obj.User, int(obj.UserSize), canary.Freed)
 			e.chargeFill(int(obj.UserSize))
 		}
-		e.s.delayQ = append(e.s.delayQ, ptr)
+		e.s.delayQ = append(e.s.delayQ, freedRegion{user: ptr, size: obj.UserSize, canary: act.CanaryFill})
 		e.s.delayBytes += uint64(obj.totalLen())
 		if !obj.Guarded {
 			e.rememberFreed(ptr, site)
@@ -797,9 +827,7 @@ func (e *Ext) Free(ptr vmem.Addr, site callsite.ID) error {
 		// Only reachable while protection is dormant (probe replays).
 		e.Unprotect(ptr, site)
 	}
-	e.delObject(ptr)
-	e.accountRelease(obj)
-	e.markWatchDirtyFor(obj)
+	e.releaseObject(obj)
 	// Guarded frees are remembered by the quarantine instead of the freed
 	// ring: their addresses never recycle, so ring entries would only pile
 	// up (see the re-free branch above).
@@ -847,28 +875,13 @@ func (e *Ext) rememberFreed(ptr vmem.Addr, site callsite.ID) {
 	}
 }
 
-// putObject, mutObject and delObject change the object table. A change
-// that copies a leaf moves that page's records, so the watch index, which
-// points at records, is rebuilt before its next use.
-func (e *Ext) putObject(o *Object) {
-	if e.s.objs.put(o) {
-		e.watchDirty = true
-	}
-}
-
-// mutObject returns a writable record of the object at user, which must
-// exist. Records from Object or the watch index are read-only.
-func (e *Ext) mutObject(user vmem.Addr) *Object {
-	o, copied := e.s.objs.mut(user)
-	if copied {
-		e.watchDirty = true
-	}
-	return o
-}
-
-func (e *Ext) delObject(user vmem.Addr) {
-	if e.s.objs.del(user) {
-		e.watchDirty = true
+// releaseObject forgets an object whose memory goes back to the raw
+// allocator or the guard tier: its record, its space and its watch entry.
+func (e *Ext) releaseObject(o *Object) {
+	e.s.objs.del(o.User)
+	e.accountRelease(o)
+	if interesting(o) {
+		e.watchDel(o)
 	}
 }
 
@@ -878,11 +891,11 @@ func (e *Ext) delObject(user vmem.Addr) {
 // back to the raw allocator while stale pointers may still target it,
 // silently voiding the guarantee the application paid for.
 func (e *Ext) enforceDelayLimit() {
-	var kept []vmem.Addr
+	var kept []freedRegion
 	for e.s.delayBytes > e.DelayLimit && len(e.s.delayQ) > 0 {
 		old := e.s.delayQ[0]
 		e.s.delayQ = e.s.delayQ[1:]
-		obj := e.s.objs.get(old)
+		obj := e.s.objs.get(old.user)
 		if obj == nil || !obj.Delayed {
 			continue
 		}
@@ -890,16 +903,14 @@ func (e *Ext) enforceDelayLimit() {
 			kept = append(kept, old)
 			continue
 		}
-		e.delObject(old)
 		e.s.delayBytes -= uint64(obj.totalLen())
-		e.accountRelease(obj)
-		e.watchDirty = true
+		e.releaseObject(obj)
 		// Deallocating very old delay-freed objects is usually safe
 		// (paper §2); a re-triggered bug would surface again and be
 		// re-diagnosed. A guarded object's slot is unmapped instead of
 		// handed back to the heap — late dangling accesses still trap.
 		if obj.Guarded {
-			e.guard.Release(old, obj.FreeSite)
+			e.guard.Release(old.user, obj.FreeSite)
 		} else {
 			e.H.Free(obj.Base)
 		}
@@ -911,7 +922,7 @@ func (e *Ext) enforceDelayLimit() {
 
 func (e *Ext) removePadded(ptr vmem.Addr) {
 	for i, p := range e.s.padded {
-		if p == ptr {
+		if p.user == ptr {
 			e.s.padded = append(e.s.padded[:i], e.s.padded[i+1:]...)
 			return
 		}
@@ -955,7 +966,7 @@ func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 	if !e.protectionActive() || obj.Alloc.PadCanary {
 		// Dormant (probe replay), or the object already carries canaried
 		// padding (e.g. an installed add-padding patch): mark in place.
-		e.mutObject(user).Protected = true
+		e.s.objs.mut(user).Protected = true
 		e.s.protected = append(e.s.protected, user)
 		return user, nil
 	}
@@ -975,13 +986,11 @@ func (e *Ext) Protect(user vmem.Addr, site callsite.ID) (vmem.Addr, error) {
 		}
 		e.chargeFill(int(obj.UserSize))
 	}
-	e.mutObject(nu).Protected = true
+	e.s.objs.mut(nu).Protected = true
 	e.s.protected = append(e.s.protected, nu)
 	// Release the original immediately: this is an internal move, not a
 	// program free, so it records no freed-site history.
-	e.delObject(obj.User)
-	e.accountRelease(obj)
-	e.markWatchDirtyFor(obj)
+	e.releaseObject(obj)
 	if obj.Guarded {
 		e.guard.Release(obj.User, site)
 	} else if err := e.H.Free(obj.Base); err != nil {
@@ -998,7 +1007,7 @@ func (e *Ext) Unprotect(user vmem.Addr, site callsite.ID) {
 	if obj := e.s.objs.get(user); obj == nil || !obj.Protected {
 		return
 	}
-	e.mutObject(user).Protected = false
+	e.s.objs.mut(user).Protected = false
 	for i, p := range e.s.protected {
 		if p == user {
 			e.s.protected = append(e.s.protected[:i], e.s.protected[i+1:]...)
@@ -1102,31 +1111,38 @@ func (e *Ext) suppressedByPatch(obj *Object) bool {
 // --- canary scanning -----------------------------------------------------------
 
 // checkPadding scans one padded object's canaries and records an overflow
-// manifestation if they were overwritten.
-func (e *Ext) checkPadding(obj *Object) {
+// manifestation if they were overwritten. Only a corrupted region looks its
+// object up, for the allocation site.
+func (e *Ext) checkPadding(r padRegion) {
 	mem := e.H.Mem()
-	if c := canary.Check(mem, obj.User+obj.UserSize, int(obj.PadBack), canary.Pad); c.Corrupted() {
-		offs := make([]int, len(c.Offsets))
-		for i, o := range c.Offsets {
-			offs[i] = int(obj.UserSize) + o
+	back := canary.Check(mem, r.user+r.size, int(r.padBack), canary.Pad)
+	front := canary.Check(mem, r.base+HeaderLen, int(r.padFront), canary.Pad)
+	if !back.Corrupted() && !front.Corrupted() {
+		return
+	}
+	site := e.s.objs.get(r.user).AllocSite
+	if back.Corrupted() {
+		offs := make([]int, len(back.Offsets))
+		for i, o := range back.Offsets {
+			offs[i] = int(r.size) + o
 		}
 		e.manifests.Add(Manifestation{
 			Bug:       mmbug.BufferOverflow,
-			AllocSite: obj.AllocSite,
-			Addr:      obj.User,
+			AllocSite: site,
+			Addr:      r.user,
 			Offsets:   offs,
 			Detail:    fmt.Sprintf("%d bytes of rear padding overwritten", len(offs)),
 		})
 	}
-	if c := canary.Check(mem, obj.Base+HeaderLen, int(obj.PadFront), canary.Pad); c.Corrupted() {
-		offs := make([]int, len(c.Offsets))
-		for i, o := range c.Offsets {
-			offs[i] = o - int(obj.PadFront)
+	if front.Corrupted() {
+		offs := make([]int, len(front.Offsets))
+		for i, o := range front.Offsets {
+			offs[i] = o - int(r.padFront)
 		}
 		e.manifests.Add(Manifestation{
 			Bug:       mmbug.BufferOverflow,
-			AllocSite: obj.AllocSite,
-			Addr:      obj.User,
+			AllocSite: site,
+			Addr:      r.user,
 			Offsets:   offs,
 			Detail:    fmt.Sprintf("%d bytes of front padding overwritten (underflow)", len(offs)),
 		})
@@ -1136,25 +1152,25 @@ func (e *Ext) checkPadding(obj *Object) {
 // Scan checks every canary region — padded objects, canary-filled
 // delay-freed objects and heap-marking regions — recording manifestations
 // for corrupted ones. The error monitor calls this between events during
-// diagnostic re-execution and at the failure point.
+// diagnostic re-execution and at the failure point. It walks the regions'
+// geometry in the scan registry, the delay FIFO and the marks; the object
+// table is read only to name the sites of a corrupted object.
 func (e *Ext) Scan() {
 	mem := e.H.Mem()
-	for _, p := range e.s.padded {
-		if obj := e.s.objs.get(p); obj != nil && !obj.Delayed {
-			e.checkPadding(obj)
-		}
+	for _, r := range e.s.padded {
+		e.checkPadding(r)
 	}
-	for _, p := range e.s.delayQ {
-		obj := e.s.objs.get(p)
-		if obj == nil || !obj.Delayed || !obj.Free.CanaryFill {
+	for _, r := range e.s.delayQ {
+		if !r.canary {
 			continue
 		}
-		if c := canary.Check(mem, obj.User, int(obj.UserSize), canary.Freed); c.Corrupted() {
+		if c := canary.Check(mem, r.user, int(r.size), canary.Freed); c.Corrupted() {
+			obj := e.s.objs.get(r.user)
 			e.manifests.Add(Manifestation{
 				Bug:       mmbug.DanglingWrite,
 				AllocSite: obj.AllocSite,
 				FreeSite:  obj.FreeSite,
-				Addr:      obj.User,
+				Addr:      r.user,
 				Offsets:   c.Offsets,
 				Detail:    fmt.Sprintf("%d bytes of delay-freed object overwritten", len(c.Offsets)),
 			})
@@ -1257,70 +1273,95 @@ func interesting(o *Object) bool {
 	return o.Delayed || o.PadFront > 0 || o.PadBack > 0 || o.written != nil
 }
 
-func (e *Ext) markWatchDirtyFor(o *Object) {
-	if interesting(o) {
-		e.watchDirty = true
+// watchEntry is one interesting object in the watch index: its backing
+// region [base, end) and its user address, the key of its record. Entries
+// hold addresses rather than records, so a copy-on-write leaf copy, which
+// moves records, leaves the index valid.
+type watchEntry struct{ base, end, user vmem.Addr }
+
+func watchEntryOf(o *Object) watchEntry {
+	return watchEntry{base: o.Base, end: o.Base + vmem.Addr(o.totalLen()), user: o.User}
+}
+
+// watchAdd and watchDel keep the index in step with an object that becomes,
+// or stops being, interesting. Outside validation mode they only mark the
+// index stale: nothing reads it there, and a rollback replaces the state
+// wholesale anyway.
+func (e *Ext) watchAdd(o *Object) {
+	if e.mode != ModeValidation || e.watchStale {
+		e.watchStale = true
+		return
+	}
+	e.watch = slices.Insert(e.watch, e.watchSearch(o.Base), watchEntryOf(o))
+}
+
+func (e *Ext) watchDel(o *Object) {
+	if e.mode != ModeValidation || e.watchStale {
+		e.watchStale = true
+		return
+	}
+	if i := e.watchSearch(o.Base); i < len(e.watch) && e.watch[i].user == o.User {
+		e.watch = slices.Delete(e.watch, i, i+1)
+	} else {
+		// Out of step (TestQuickWatchIndexMatchesBruteForce pins that
+		// this does not happen): rebuild rather than delete a neighbour.
+		e.watchStale = true
 	}
 }
 
-// rebuildWatch regenerates the Base-sorted index of interesting objects.
+// watchSearch returns the index of the first entry that ends past addr.
+func (e *Ext) watchSearch(addr vmem.Addr) int {
+	lo, hi := 0, len(e.watch)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.watch[mid].end <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// rebuildWatch regenerates the index from the object table. Objects'
+// backing regions are disjoint and each holds its user address, so the
+// table's user-address order is also the regions' order.
 func (e *Ext) rebuildWatch() {
 	e.watch = e.watch[:0]
 	e.s.objs.each(func(o *Object) bool {
 		if interesting(o) {
-			e.watch = append(e.watch, o)
+			e.watch = append(e.watch, watchEntryOf(o))
 		}
 		return true
 	})
-	sortObjectsByBase(e.watch)
-	e.watchDirty = false
+	e.watchStale = false
 }
 
-func sortObjectsByBase(objs []*Object) {
-	// Insertion sort: the list is small and often nearly sorted.
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objs[j-1].Base > objs[j].Base; j-- {
-			objs[j-1], objs[j] = objs[j], objs[j-1]
-		}
-	}
-}
-
-// watchAt finds the interesting object whose backing region contains addr.
-func (e *Ext) watchAt(addr vmem.Addr) *Object {
-	if e.watchDirty {
+// watchAt returns the interesting object whose backing region overlaps
+// [addr, end) — the lowest one, if the access spans several — or nil.
+func (e *Ext) watchAt(addr, end vmem.Addr) *Object {
+	if e.watchStale {
 		e.rebuildWatch()
 	}
-	lo, hi := 0, len(e.watch)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		o := e.watch[mid]
-		switch {
-		case addr < o.Base:
-			hi = mid
-		case addr >= o.Base+o.totalLen():
-			lo = mid + 1
-		default:
-			return o
-		}
+	if i := e.watchSearch(addr); i < len(e.watch) && e.watch[i].base < end {
+		return e.s.objs.get(e.watch[i].user)
 	}
 	return nil
 }
 
 // Access implements proc.AccessChecker: in validation mode it classifies
 // every program access against patched objects and records the illegal
-// ones (the Pin instrumentation of §5). Outside validation mode it is a
-// no-op so normal execution stays cheap.
-func (e *Ext) Access(addr vmem.Addr, n int, write bool, instr string) {
+// ones (the Pin instrumentation of §5). An access is checked against the
+// first interesting object it overlaps, so one that starts in front of an
+// object, or covers it whole, counts as well as one that starts inside.
+// instr is called only to record an access. Outside validation mode Access
+// is a no-op so normal execution stays cheap.
+func (e *Ext) Access(addr vmem.Addr, n int, write bool, instr func() string) {
 	if e.mode != ModeValidation || e.trace == nil || n <= 0 {
 		return
 	}
 	end := addr + vmem.Addr(n)
-	obj := e.watchAt(addr)
-	if obj == nil && n > 1 {
-		// The access may start outside any interesting object and run
-		// into one (an overflow from an unpatched neighbour).
-		obj = e.watchAt(end - 1)
-	}
+	obj := e.watchAt(addr, end)
 	if obj == nil {
 		return
 	}
@@ -1332,7 +1373,7 @@ func (e *Ext) Access(addr vmem.Addr, n int, write bool, instr string) {
 		e.trace.Illegal = append(e.trace.Illegal, IllegalAccess{
 			Kind:      kind,
 			PatchSite: obj.FreeSite,
-			Instr:     instr,
+			Instr:     instr(),
 			Obj:       obj.User,
 			Offset:    int(addr) - int(obj.User),
 			Len:       n,
@@ -1348,7 +1389,7 @@ func (e *Ext) Access(addr vmem.Addr, n int, write bool, instr string) {
 }
 
 // checkPadHit records an access overlapping the object's padding.
-func (e *Ext) checkPadHit(obj *Object, addr, end vmem.Addr, write bool, instr string) {
+func (e *Ext) checkPadHit(obj *Object, addr, end vmem.Addr, write bool, instr func() string) {
 	padFrontStart := obj.Base + HeaderLen
 	userEnd := obj.User + obj.UserSize
 	padBackEnd := userEnd + obj.PadBack
@@ -1365,7 +1406,7 @@ func (e *Ext) checkPadHit(obj *Object, addr, end vmem.Addr, write bool, instr st
 	e.trace.Illegal = append(e.trace.Illegal, IllegalAccess{
 		Kind:      kind,
 		PatchSite: obj.AllocSite,
-		Instr:     instr,
+		Instr:     instr(),
 		Obj:       obj.User,
 		Offset:    off,
 		Len:       int(end - addr),
@@ -1374,7 +1415,7 @@ func (e *Ext) checkPadHit(obj *Object, addr, end vmem.Addr, write bool, instr st
 
 // trackInit maintains the per-byte init bitmap of zero-filled objects and
 // records reads of never-written bytes.
-func (e *Ext) trackInit(obj *Object, addr, end vmem.Addr, write bool, instr string) {
+func (e *Ext) trackInit(obj *Object, addr, end vmem.Addr, write bool, instr func() string) {
 	lo := int(addr) - int(obj.User)
 	hi := int(end) - int(obj.User)
 	if lo < 0 {
@@ -1387,7 +1428,7 @@ func (e *Ext) trackInit(obj *Object, addr, end vmem.Addr, write bool, instr stri
 		return
 	}
 	if write {
-		obj = e.mutObject(obj.User)
+		obj = e.s.objs.mut(obj.User)
 		for i := lo; i < hi; i++ {
 			obj.written[i/64] |= 1 << (uint(i) % 64)
 		}
@@ -1404,7 +1445,7 @@ func (e *Ext) trackInit(obj *Object, addr, end vmem.Addr, write bool, instr stri
 		e.trace.Illegal = append(e.trace.Illegal, IllegalAccess{
 			Kind:      UninitRead,
 			PatchSite: obj.AllocSite,
-			Instr:     instr,
+			Instr:     instr(),
 			Obj:       obj.User,
 			Offset:    lo,
 			Len:       hi - lo,

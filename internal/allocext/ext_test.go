@@ -34,6 +34,9 @@ func newFixture(t testing.TB) *fixture {
 	}
 }
 
+// at is an access's instruction label, in the lazy form Access takes.
+func at(label string) func() string { return func() string { return label } }
+
 // fakePatches implements PatchSource for tests.
 type fakePatches struct {
 	alloc map[callsite.ID]AllocAction
@@ -542,10 +545,10 @@ func TestValidationTraceRecordsOpsAndIllegalAccesses(t *testing.T) {
 
 	a, _ := f.ext.Malloc(32, f.site)
 	// Overflow into padding.
-	f.ext.Access(a+32, 8, true, "handler:copy")
+	f.ext.Access(a+32, 8, true, at("handler:copy"))
 	// Free, then dangling read.
 	f.ext.Free(a, f.site2)
-	f.ext.Access(a+4, 4, false, "handler:later_read")
+	f.ext.Access(a+4, 4, false, at("handler:later_read"))
 
 	tr := f.ext.EndTrace()
 	if len(tr.Ops) != 2 {
@@ -583,9 +586,9 @@ func TestValidationUninitReadTracking(t *testing.T) {
 	f.ext.BeginTrace()
 
 	a, _ := f.ext.Malloc(32, f.site)
-	f.ext.Access(a, 4, true, "init_field")     // initialise bytes 0..4
-	f.ext.Access(a, 4, false, "read_field")    // legit read
-	f.ext.Access(a+8, 4, false, "read_uninit") // read before init
+	f.ext.Access(a, 4, true, at("init_field"))     // initialise bytes 0..4
+	f.ext.Access(a, 4, false, at("read_field"))    // legit read
+	f.ext.Access(a+8, 4, false, at("read_uninit")) // read before init
 
 	tr := f.ext.EndTrace()
 	if len(tr.Illegal) != 1 {
@@ -600,7 +603,7 @@ func TestValidationUninitReadTracking(t *testing.T) {
 func TestAccessIsNoopOutsideValidation(t *testing.T) {
 	f := newFixture(t)
 	a, _ := f.ext.Malloc(32, f.site)
-	f.ext.Access(a, 4, false, "x") // must not panic or record anything
+	f.ext.Access(a, 4, false, at("x")) // must not panic or record anything
 }
 
 func TestChangeSetResolution(t *testing.T) {

@@ -100,8 +100,7 @@ func (t *objTable) get(user vmem.Addr) *Object {
 // writableLeaf is the one accessor every mutation goes through: it returns
 // page pn's leaf owned by t, copying the group and the leaf first when
 // they belong to another generation and creating them where none exist.
-// copied reports a leaf copy, which moves every record of that page.
-func (t *objTable) writableLeaf(pn uint32) (l *objLeaf, copied bool) {
+func (t *objTable) writableLeaf(pn uint32) *objLeaf {
 	gi := int(pn >> groupShift)
 	if gi >= len(t.root) {
 		t.root = append(t.root, make([]*objGroup, gi+1-len(t.root))...)
@@ -116,7 +115,7 @@ func (t *objTable) writableLeaf(pn uint32) (l *objLeaf, copied bool) {
 		t.root[gi] = g
 	}
 	li := pn & groupMask
-	l = g.leaves[li]
+	l := g.leaves[li]
 	switch {
 	case l == nil:
 		l = &objLeaf{gen: t.gen}
@@ -125,9 +124,8 @@ func (t *objTable) writableLeaf(pn uint32) (l *objLeaf, copied bool) {
 	case l.gen != t.gen:
 		l = l.copy(t.gen)
 		g.leaves[li] = l
-		copied = true
 	}
-	return l, copied
+	return l
 }
 
 // copy duplicates the leaf's records for generation gen: one slab for all
@@ -146,28 +144,28 @@ func (l *objLeaf) copy(gen uint64) *objLeaf {
 }
 
 // put records o, replacing any record at the same user address.
-func (t *objTable) put(o *Object) (copied bool) {
-	l, copied := t.writableLeaf(objPage(o.User))
+func (t *objTable) put(o *Object) {
+	l := t.writableLeaf(objPage(o.User))
 	if i, ok := l.search(o.User); ok {
 		l.objs[i] = o
 	} else {
 		l.objs = slices.Insert(l.objs, i, o)
 	}
-	return copied
 }
 
 // mut returns a writable record of the object at user, which must exist.
-func (t *objTable) mut(user vmem.Addr) (o *Object, copied bool) {
-	l, copied := t.writableLeaf(objPage(user))
+// A record from get may be a copy-on-write leaf's and is read-only.
+func (t *objTable) mut(user vmem.Addr) *Object {
+	l := t.writableLeaf(objPage(user))
 	i, _ := l.search(user)
-	return l.objs[i], copied
+	return l.objs[i]
 }
 
 // del removes the record at user, which must exist; a leaf or group left
 // empty leaves the table.
-func (t *objTable) del(user vmem.Addr) (copied bool) {
+func (t *objTable) del(user vmem.Addr) {
 	pn := objPage(user)
-	l, copied := t.writableLeaf(pn)
+	l := t.writableLeaf(pn)
 	i, _ := l.search(user)
 	l.objs = slices.Delete(l.objs, i, i+1)
 	if len(l.objs) == 0 {
@@ -177,7 +175,6 @@ func (t *objTable) del(user vmem.Addr) (copied bool) {
 			t.root[pn>>groupShift] = nil
 		}
 	}
-	return copied
 }
 
 // each calls f for every record in address order until f returns false.

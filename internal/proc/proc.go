@@ -123,9 +123,11 @@ type MM interface {
 
 // AccessChecker observes every program load and store; the allocator
 // extension implements it in validation mode to trace illegal accesses
-// (the paper uses Pin for this, §5).
+// (the paper uses Pin for this, §5). instr returns the instruction label
+// ("fn:label", see Proc.Instr); building it costs a string, so a checker
+// calls it only for an access it records.
 type AccessChecker interface {
-	Access(addr vmem.Addr, n int, write bool, instr string)
+	Access(addr vmem.Addr, n int, write bool, instr func() string)
 }
 
 // RawMM passes requests straight to the underlying allocator — the
@@ -173,6 +175,7 @@ type Proc struct {
 
 	mm      MM
 	checker AccessChecker
+	instr   func() string // p.Instr, bound once for the checker
 	stack   []frame
 	st      State
 	trc     trace.Emitter
@@ -191,12 +194,14 @@ type Proc struct {
 // New creates a process over mem whose memory requests go to mm. The
 // call-site table persists across rollbacks (signatures are stable keys).
 func New(mem *vmem.Space, mm MM) *Proc {
-	return &Proc{
+	p := &Proc{
 		Mem:   mem,
 		Sites: callsite.NewTable(),
 		mm:    mm,
 		st:    State{Rng: 0x853C49E6748FEA9B},
 	}
+	p.instr = p.Instr
+	return p
 }
 
 // SetAccessChecker installs or removes (nil) the access observer.
@@ -498,7 +503,7 @@ func (p *Proc) faultFromMMError(err error, addr vmem.Addr) {
 func (p *Proc) access(addr vmem.Addr, n int, write bool) {
 	p.st.Clock += costAccess + uint64(n)/8*costByte
 	if p.checker != nil {
-		p.checker.Access(addr, n, write, p.Instr())
+		p.checker.Access(addr, n, write, p.instr)
 	}
 }
 

@@ -209,13 +209,13 @@ type countingChecker struct {
 	lastInstr     string
 }
 
-func (c *countingChecker) Access(_ vmem.Addr, _ int, write bool, instr string) {
+func (c *countingChecker) Access(_ vmem.Addr, _ int, write bool, instr func() string) {
 	if write {
 		c.writes++
 	} else {
 		c.reads++
 	}
-	c.lastInstr = instr
+	c.lastInstr = instr()
 }
 
 func TestAccessCheckerObservesAll(t *testing.T) {
