@@ -9,9 +9,7 @@
 //	firstaid-serve -app apache -addr :8080 -workers 4
 //	firstaid-serve -app squid -pool /var/lib/firstaid/squid.json
 //	firstaid-serve -app apache -guard-rate 4096     # sampled guard pages fleet-wide
-//	firstaid-serve -app apache -load -clients 8 -events 1000 \
-//	    -trigger-clients 2 -triggers 120 -trigger-stagger 400
-//	firstaid-serve -app apache -load -batch 256 -compact-log   # batched ingest
+//	firstaid-serve -app apache -compact-log         # bounded per-worker replay logs
 //
 // Endpoints:
 //
@@ -37,9 +35,10 @@
 // crash-safely whenever it changes and at exit, so the patches a fleet
 // learns outlive a kill -9.
 //
-// With -load the binary starts its own fleet, drives the built-in
-// concurrent load generator against it over a real TCP socket, prints
-// throughput and latency percentiles, and exits.
+// SIGINT or SIGTERM stops accepting traffic, ends the open SSE streams,
+// drains the fleet and prints its final stats. The binary carries no load
+// generator: bench/ (bash bench/run.sh) drives it over loopback TCP and
+// checks every served outcome against an in-process replay.
 package main
 
 import (
@@ -50,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -77,27 +75,12 @@ func main() {
 		guardRate  = flag.Int("guard-rate", 0, "guard-page sampling per worker: redirect ~1/N of allocations onto guard pages so stray accesses trap at the faulting instruction (0 = off; 4096 is the always-on default)")
 		guardForce = flag.String("guard-force", "", "comma-separated call-site substrings to guard-sample on every allocation across the fleet")
 		compactLog = flag.Bool("compact-log", false, "bound each worker's rolling replay log: discard the prefix older than its oldest retained checkpoint (live memory stays flat; whole-run offline replay is given up)")
-
-		load           = flag.Bool("load", false, "run the built-in load generator against this fleet, print the report, and exit")
-		clients        = flag.Int("clients", 4, "load: concurrent clients")
-		events         = flag.Int("events", 500, "load: events per client")
-		batch          = flag.Int("batch", 0, "load: send events in binary batches of this size via POST /events/batch (0 or 1 = one JSON request per event)")
-		triggerClients = flag.Int("trigger-clients", 1, "load: how many clients carry bug triggers")
-		triggers       = flag.String("triggers", "110", "load: comma-separated trigger offsets within a client's workload (empty = clean)")
-		stagger        = flag.Int("trigger-stagger", 300, "load: per-client shift of the trigger offsets")
 	)
 	flag.Parse()
 
 	if _, err := apps.New(*appName); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	newApp := func() app.App {
-		prog, err := apps.New(*appName)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return prog
 	}
 
 	mcfg := core.MachineConfig{GuardRate: *guardRate}
@@ -136,7 +119,13 @@ func main() {
 		}
 	}
 
-	f := fleet.New(func() app.Program { return newApp() }, cfg)
+	f := fleet.New(func() app.Program {
+		prog, err := apps.New(*appName)
+		if err != nil {
+			panic(err) // validated above
+		}
+		return prog
+	}, cfg)
 	var saver *poolSaver
 	if *poolPath != "" {
 		saver = startPoolSaver(f.Pool(), *poolPath)
@@ -150,43 +139,12 @@ func main() {
 	srv := newServer(f)
 	// Catch SIGINT/SIGTERM before serving: once /healthz can answer ready,
 	// a SIGTERM must drain and report, not kill the process.
-	var sig chan os.Signal
-	if !*load {
-		sig = make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("firstaid-serve: %s fleet of %d worker(s) on http://%s (dispatch %s)\n",
 		*appName, f.Workers(), ln.Addr(), *dispatch)
-
-	if *load {
-		lcfg := fleet.LoadConfig{
-			Clients:         *clients,
-			EventsPerClient: *events,
-			Batch:           *batch,
-			TriggerClients:  *triggerClients,
-			TriggerStagger:  *stagger,
-		}
-		if *triggers != "" {
-			for _, part := range strings.Split(*triggers, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bad trigger %q: %v\n", part, err)
-					os.Exit(1)
-				}
-				lcfg.Triggers = append(lcfg.Triggers, v)
-			}
-		}
-		rep, err := fleet.RunLoad("http://"+ln.Addr().String(), newApp, lcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load generator: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.String())
-		shutdown(srv, f, saver, *poolPath)
-		return
-	}
 
 	// Serve until SIGINT/SIGTERM, then drain and report.
 	select {
@@ -212,14 +170,20 @@ var (
 )
 
 // newServer wraps the fleet's HTTP front-end in a server with the
-// connection timeouts set.
+// connection timeouts set. Shutdown cancels every request's context: the
+// SSE streams end on it, while event handlers, which do not watch the
+// context, finish the events they hold.
 func newServer(f *fleet.Fleet) *http.Server {
-	return &http.Server{
+	ctx, cancel := context.WithCancel(context.Background())
+	srv := &http.Server{
 		Handler:           fleet.NewServer(f),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
+	srv.RegisterOnShutdown(cancel)
+	return srv
 }
 
 // poolSaveEvery is how often the pool saver looks for new patches: a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -19,7 +20,7 @@ import (
 // timeouts and checks that slow clients cannot hold a connection: one that
 // stalls mid-header, one that trickles a batch body and one that idles a
 // keep-alive connection are all disconnected, while an SSE stream, which
-// has no write deadline, outlives every timeout.
+// has no write deadline, outlives every timeout and ends on Shutdown.
 func TestServerTimeouts(t *testing.T) {
 	defer func(h, r, i time.Duration) {
 		readHeaderTimeout, readTimeout, idleTimeout = h, r, i
@@ -124,6 +125,27 @@ func TestServerTimeouts(t *testing.T) {
 			if strings.HasPrefix(line, "data: ") {
 				return
 			}
+		}
+	})
+
+	// Last, as it shuts the server down: an open SSE stream must not hold
+	// Shutdown until its timeout.
+	t.Run("shutdown-ends-sse", func(t *testing.T) {
+		c := dial(t, addr)
+		fmt.Fprint(c, "GET /diagnoses/stream HTTP/1.1\r\nHost: firstaid\r\n\r\n")
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("diagnoses stream: %v (%v)", err, resp)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		t0 := time.Now()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown with a stream open: %v after %v", err, time.Since(t0))
+		}
+		c.SetReadDeadline(time.Now().Add(patience))
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatalf("stream did not end cleanly: %v", err)
 		}
 	})
 }

@@ -83,7 +83,7 @@ func AppendBatch(dst []byte, items []BatchItem) []byte {
 }
 
 // AppendRequests is AppendBatch for Request values — the client-side
-// encoder (load generator, tests) that skips building BatchItems.
+// encoder (bench/'s client, tests) that skips building BatchItems.
 func AppendRequests(dst []byte, reqs []Request) []byte {
 	dst = append(dst, batchMagic[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(reqs)))

@@ -319,64 +319,6 @@ func TestHTTPBatchErrors(t *testing.T) {
 	}
 }
 
-// TestRunLoadBatchMode drives the load generator in batch mode end to end
-// over real TCP: every event acknowledged, HTTP round-trips amortized by
-// the batch size, and the error breakdown clean.
-func TestRunLoadBatchMode(t *testing.T) {
-	ts, f := newTestServer(t)
-	rep, err := RunLoad(ts.URL, func() app.App { return &notesvc{} }, LoadConfig{
-		Clients:         2,
-		EventsPerClient: 100,
-		Batch:           32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 200 || rep.Responses != 200 {
-		t.Fatalf("sent %d, acknowledged %d", rep.Requests, rep.Responses)
-	}
-	if rep.Errors != 0 || rep.TransportErrors != 0 || rep.HTTPErrors != 0 {
-		t.Fatalf("errors in clean batch run: %+v", rep)
-	}
-	// ceil(100/32) = 4 batches per client.
-	if rep.HTTPRequests != 8 {
-		t.Fatalf("HTTP round-trips = %d, want 8", rep.HTTPRequests)
-	}
-	st := f.Close()
-	if st.Core.Events != 200 {
-		t.Fatalf("fleet served %d events", st.Core.Events)
-	}
-}
-
-// TestRunLoadErrorBreakdown: transport failures (server gone) and HTTP
-// failures (a 404 route) land in their respective counters.
-func TestRunLoadErrorBreakdown(t *testing.T) {
-	ts, _ := newTestServer(t)
-	// Point the per-event path at a bad route: every request is a non-200.
-	rep, err := RunLoad(ts.URL+"/nosuch", func() app.App { return &notesvc{} }, LoadConfig{
-		Clients:         1,
-		EventsPerClient: 3,
-	})
-	if err == nil { // /metrics under the bad prefix also fails
-		t.Fatalf("expected metrics error, got report %+v", rep)
-	}
-	if rep.HTTPErrors != 3 || rep.TransportErrors != 0 {
-		t.Fatalf("http errors = %d, transport = %d, want 3/0", rep.HTTPErrors, rep.TransportErrors)
-	}
-	ts.Close()
-	rep, err = RunLoad(ts.URL, func() app.App { return &notesvc{} }, LoadConfig{
-		Clients:         1,
-		EventsPerClient: 3,
-		Batch:           2,
-	})
-	if err == nil {
-		t.Fatalf("expected metrics error after server close, got %+v", rep)
-	}
-	if rep.TransportErrors != 2 || rep.HTTPErrors != 0 {
-		t.Fatalf("transport errors = %d, http = %d, want 2/0", rep.TransportErrors, rep.HTTPErrors)
-	}
-}
-
 // FuzzBatchDecode feeds arbitrary bytes to the wire decoder. It must never
 // panic; a count beyond MaxBatchEvents must fail with ErrBatchTooLarge;
 // and whatever decodes must survive a round trip: AppendBatch re-encodes

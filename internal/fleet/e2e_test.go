@@ -1,15 +1,21 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"firstaid/internal/app"
 	"firstaid/internal/apps"
 	"firstaid/internal/core"
+	"firstaid/internal/replay"
+	"firstaid/internal/telemetry"
 )
 
 // TestServeEndToEndTCP is the fleet acceptance run: ≥10k requests with bug
@@ -65,30 +71,30 @@ func TestServeEndToEndTCP(t *testing.T) {
 	// 8 clients × ~1300 events ≥ 10k requests. Three clients carry the
 	// apache cache-purge trigger, staggered 300 events apart so the first
 	// diagnosis propagates through the pool before the others trigger.
-	rep, err := RunLoad(base, newApache, LoadConfig{
-		Clients:         8,
-		EventsPerClient: 1300,
-		TriggerClients:  3,
-		Triggers:        []int{110},
-		TriggerStagger:  300,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var logs []*replay.Log
+	for c := 0; c < 8; c++ {
+		var triggers []int
+		if c < 3 {
+			triggers = []int{110 + 300*c}
+		}
+		logs = append(logs, newApache().Workload(1300, triggers))
 	}
-	t.Logf("load: %v", rep)
-
-	if rep.Requests < 10000 {
-		t.Fatalf("load sent %d requests, want ≥ 10000", rep.Requests)
+	sent, answered := postConcurrently(t, base, logs)
+	if sent < 10000 {
+		t.Fatalf("load sent %d requests, want ≥ 10000", sent)
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d transport/HTTP errors", rep.Errors)
+	if answered != sent {
+		t.Fatalf("dropped requests: %d sent, %d answered", sent, answered)
 	}
-	if rep.Responses != rep.Requests {
-		t.Fatalf("dropped requests: %d sent, %d answered", rep.Requests, rep.Responses)
+	// Latency percentiles come from the server's own histogram, the
+	// numbers an operator scrapes from /metrics.
+	var snap telemetry.Snapshot
+	getJSON(t, base+"/metrics", &snap)
+	lat := snap.Histograms["fleet.latency_us"]
+	if lat.P50 == 0 || lat.P99 < lat.P50 {
+		t.Fatalf("telemetry latency percentiles broken: p50=%dµs p99=%dµs", lat.P50, lat.P99)
 	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 {
-		t.Fatalf("telemetry latency percentiles broken: p50=%v p99=%v", rep.P50, rep.P99)
-	}
+	t.Logf("%d events, p50 %dµs p99 %dµs", sent, lat.P50, lat.P99)
 
 	// The operational surfaces answer over the same socket.
 	var health Health
@@ -133,9 +139,48 @@ func TestServeEndToEndTCP(t *testing.T) {
 	if st.Core.Skipped != 0 {
 		t.Fatalf("%d requests skipped: %+v", st.Core.Skipped, st.Core)
 	}
-	if uint64(rep.Responses) != st.Requests {
-		t.Fatalf("server completed %d requests, clients got %d results", st.Requests, rep.Responses)
+	if uint64(answered) != st.Requests {
+		t.Fatalf("server completed %d requests, clients got %d results", st.Requests, answered)
 	}
+}
+
+// postConcurrently sends each log from its own client goroutine, one JSON
+// POST /events per event, under source "c<i>" so hash dispatch keeps a
+// client's events in order on one worker. The clients share one transport
+// that keeps a connection per client alive. It returns how many events
+// were sent and how many came back as a 200 with a decodable result; a
+// client stops at its first error.
+func postConcurrently(t *testing.T, base string, logs []*replay.Log) (sent, answered int64) {
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: len(logs)}}
+	defer client.CloseIdleConnections()
+	var nSent, nAnswered atomic.Int64
+	var wg sync.WaitGroup
+	for c, log := range logs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < log.Len(); i++ {
+				ev := log.At(i)
+				body, _ := json.Marshal(Request{Kind: ev.Kind, Data: ev.Data, N: ev.N, Src: fmt.Sprintf("c%d", c)})
+				nSent.Add(1)
+				resp, err := client.Post(base+"/events", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("client c%d, event %d: %v", c, i, err)
+					return
+				}
+				var res Result
+				err = json.NewDecoder(resp.Body).Decode(&res)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("client c%d, event %d: %s (%v)", c, i, resp.Status, err)
+					return
+				}
+				nAnswered.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	return nSent.Load(), nAnswered.Load()
 }
 
 func getJSON(t *testing.T, url string, v any) {

@@ -86,8 +86,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxEventBody)
+	dec := json.NewDecoder(r.Body)
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One event per request: anything but whitespace after it is
+		// rejected, not dropped. Token, unlike More, also sees a stray
+		// closing brace or bracket.
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the event")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, "event too large", http.StatusRequestEntityTooLarge)
@@ -182,90 +194,37 @@ func wantsPromText(accept string) bool {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	recs := s.fleet.Trace().Snapshot()
+	writeTrace(w, r, s.fleet.Trace().Snapshot())
+}
+
+// writeTrace renders trace records in the ?format= a request asks for:
+// chrome (trace-event JSON) or text (the timeline, the default).
+func writeTrace(w http.ResponseWriter, r *http.Request, recs []trace.Record) {
+	write, ctype := trace.WriteText, "text/plain; charset=utf-8"
 	switch format := r.URL.Query().Get("format"); format {
 	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.ChromeTrace(w, recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		write, ctype = trace.ChromeTrace, "application/json"
 	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := trace.WriteText(w, recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	default:
 		http.Error(w, "unknown format "+strconv.Quote(format)+" (want chrome or text)", http.StatusBadRequest)
+		return
+	}
+	w.Header().Set("Content-Type", ctype)
+	if err := write(w, recs); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
-// handleTraceStream tails the ring as server-sent events, one record per
-// event. The ring has no subscription hooks — emits stay a lock and a
-// store — so the tail polls Since(cursor) on a ticker. ?from= starts the
-// cursor at a sequence number (default: the current tail, i.e. only new
-// records); ?max= closes the stream after that many records (0 = until the
-// client disconnects), which also makes the endpoint testable.
+// handleTraceStream tails the execution-trace ring as server-sent events;
+// the cursor is the record's global sequence number.
 func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	cursor := s.fleet.Trace().Emitted()
-	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-			return
+	tr := s.fleet.Trace()
+	s.stream(w, r, tr.Emitted(), func(cursor uint64) (recs []any, next uint64) {
+		for _, rec := range tr.Since(cursor) {
+			recs, cursor = append(recs, trace.ToJSON(rec)), rec.Seq+1
 		}
-		cursor = n
-	}
-	var maxRecs uint64
-	if v := q.Get("max"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad max: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		maxRecs = n
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ticker := time.NewTicker(s.streamPoll)
-	defer ticker.Stop()
-	enc := json.NewEncoder(w)
-	var sent uint64
-	for {
-		for _, rec := range s.fleet.Trace().Since(cursor) {
-			cursor = rec.Seq + 1
-			if _, err := w.Write([]byte("data: ")); err != nil {
-				return
-			}
-			if err := enc.Encode(trace.ToJSON(rec)); err != nil {
-				return
-			}
-			// The JSON encoder already wrote one \n; the blank line ends
-			// the SSE event.
-			if _, err := w.Write([]byte("\n")); err != nil {
-				return
-			}
-			sent++
-			if maxRecs > 0 && sent >= maxRecs {
-				flusher.Flush()
-				return
-			}
-		}
-		flusher.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
+		return recs, cursor
+	})
 }
 
 func (s *Server) handlePatches(w http.ResponseWriter, _ *http.Request) {
@@ -332,21 +291,7 @@ func (s *Server) handleDiagnosisTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	in := report.BundleFor(d, s.fleet.Trace(), nil)
-	switch format := r.URL.Query().Get("format"); format {
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		if err := trace.ChromeTrace(w, in.Trace); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := trace.WriteText(w, in.Trace); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	default:
-		http.Error(w, "unknown format "+strconv.Quote(format)+" (want chrome or text)", http.StatusBadRequest)
-	}
+	writeTrace(w, r, report.BundleFor(d, s.fleet.Trace(), nil).Trace)
 }
 
 // handleDiagnosisBundle streams the diagnosis's postmortem bundle.
@@ -368,29 +313,42 @@ func (s *Server) handleDiagnosisBundle(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDiagnosesStream feeds ledger phase transitions as server-sent
-// events. Like /trace/stream it polls the transition ring: ?from= resumes
-// from a stream cursor (default: only new transitions; the cursor of each
-// delivered record is seq+1), ?max= closes after n records.
+// events, one record per phase change; the cursor is the transition's
+// stream position.
 func (s *Server) handleDiagnosesStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
 	ldg := s.fleet.Ledger()
-	cursor := ldg.TransitionsEmitted()
-	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-			return
+	s.stream(w, r, ldg.TransitionsEmitted(), func(cursor uint64) (recs []any, next uint64) {
+		for _, tr := range ldg.TransitionsSince(cursor) {
+			recs, cursor = append(recs, tr), tr.Seq+1
 		}
-		cursor = n
-	}
-	var maxRecs uint64
-	if v := q.Get("max"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad max: "+err.Error(), http.StatusBadRequest)
-			return
+		return recs, cursor
+	})
+}
+
+// stream serves a live tail of /trace/stream or /diagnoses/stream as
+// server-sent events, one JSON record per event. Neither the trace ring nor
+// the ledger has subscription hooks — their writers stay a lock and a
+// store — so the tail polls since(cursor), which returns the records from
+// cursor on and the cursor past the last of them, on a ticker. ?from=
+// starts the cursor at a stream position (default start: only new
+// records); ?max= closes the stream after that many records (0 = until the
+// request's context ends: the client disconnects, or the server cancels it
+// on shutdown).
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, start uint64, since func(cursor uint64) (recs []any, next uint64)) {
+	q := r.URL.Query()
+	cursor, maxRecs := start, uint64(0)
+	for _, p := range []struct {
+		name string
+		dst  *uint64
+	}{{"from", &cursor}, {"max", &maxRecs}} {
+		if v := q.Get(p.name); v != "" {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				http.Error(w, "bad "+p.name+": "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			*p.dst = n
 		}
-		maxRecs = n
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -407,14 +365,17 @@ func (s *Server) handleDiagnosesStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var sent uint64
 	for {
-		for _, tr := range ldg.TransitionsSince(cursor) {
-			cursor = tr.Seq + 1
+		var recs []any
+		recs, cursor = since(cursor)
+		for _, rec := range recs {
 			if _, err := w.Write([]byte("data: ")); err != nil {
 				return
 			}
-			if err := enc.Encode(tr); err != nil {
+			if err := enc.Encode(rec); err != nil {
 				return
 			}
+			// The JSON encoder already wrote one \n; the blank line ends
+			// the SSE event.
 			if _, err := w.Write([]byte("\n")); err != nil {
 				return
 			}

@@ -87,7 +87,7 @@ func TestHTTPWrongMethod(t *testing.T) {
 }
 
 func TestHTTPEventErrors(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, f := newTestServer(t)
 
 	// Malformed JSON.
 	resp, err := http.Post(ts.URL+"/events", "application/json", strings.NewReader("{not json"))
@@ -101,6 +101,22 @@ func TestHTTPEventErrors(t *testing.T) {
 	huge := `{"kind":"search","data":"` + strings.Repeat("x", maxEventBody) + `"}`
 	resp, err = http.Post(ts.URL+"/events", "application/json", strings.NewReader(huge))
 	wantStatus(t, resp, err, http.StatusRequestEntityTooLarge)
+
+	// Data after the event: a second event, or a stray closing brace that
+	// Decoder.More would not see. One event per request, so both are
+	// rejected rather than dropped.
+	for _, body := range []string{
+		`{"kind":"search","src":"c0"}{"kind":"search","src":"c0"}`,
+		`{"kind":"search","src":"c0"}}`,
+	} {
+		resp, err = http.Post(ts.URL+"/events", "application/json", strings.NewReader(body))
+		wantStatus(t, resp, err, http.StatusBadRequest)
+	}
+	for _, wh := range f.Health().Workers {
+		if wh.Processed != 0 {
+			t.Fatalf("worker %d processed %d events from rejected requests", wh.ID, wh.Processed)
+		}
+	}
 
 	// The fleet still answers after every error path.
 	res := sendEvent(t, ts.URL, Request{Kind: "search", Data: "uid=1", N: 1, Src: "c0"})

@@ -1,4 +1,4 @@
-// Package trace is the always-on execution tracer of the First-Aid
+// Package trace is the execution tracer of the First-Aid
 // runtime: a sharded ring buffer of fixed-size binary records, each
 // stamped with both the simulated cycle clock and wall-clock time.
 //
@@ -6,13 +6,18 @@
 // diagnosis ledger "what happened per recovery", the tracer answers "when,
 // and in what interleaving": every malloc with its call-site, every COW page copy,
 // every checkpoint, rollback, diagnosis phase and patch mutation lands in
-// the ring in order, cheap enough to leave on in production. The design
-// rules mirror telemetry's:
+// the ring in order. The design rules mirror telemetry's:
 //
 //   - Hot-path cost is one atomic add (the global sequence number), one
-//     uncontended mutex (the record's shard) and a 48-byte in-place store.
-//     Records are fixed size and the ring is preallocated: the steady
-//     state performs no allocation.
+//     wall-clock read (time.Now), one uncontended mutex (the record's
+//     shard) and a 48-byte in-place store. Records are fixed size and the
+//     ring is preallocated: the steady state performs no allocation. The
+//     clock read dominates: on a 2-vCPU Xeon VM an enabled Emit costs
+//     91–106 ns, of which time.Now is 60–87 ns. squid emits ~8 records
+//     per ~3.3 µs event, so an enabled ring is not yet cheap enough to
+//     leave on: BenchmarkTraceOverheadGuard fails its 10% budget on squid.
+//     ROADMAP.md ("A tracer cheap enough to leave on") plans to stamp wall
+//     time on boundary records only.
 //   - A nil *Tracer is the "off" switch. The zero Emitter — what a nil
 //     tracer hands out — discards every Emit behind a single nil check,
 //     so instrumented code carries no conditionals.
